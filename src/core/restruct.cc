@@ -1,10 +1,11 @@
 #include "core/restruct.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "relational/algebra.h"
+#include "relational/query_cache.h"
 
 namespace dbre {
 namespace {
@@ -40,13 +41,92 @@ void RewriteIndSides(std::vector<InclusionDependency>* inds, size_t exempt,
   }
 }
 
+// The rank of each dictionary code of column `c` in ascending Value order,
+// so that comparing ranks compares the values they stand for.
+Result<std::vector<uint32_t>> DictionaryRanks(const EncodedTable& encoded,
+                                              size_t c) {
+  std::vector<Value> values;
+  values.reserve(encoded.dict_size(c));
+  DBRE_RETURN_IF_ERROR(encoded.ForEachDictValue(
+      c, [&values](uint32_t, const Value& value) { values.push_back(value); }));
+  std::vector<uint32_t> order(values.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&values](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
+  std::vector<uint32_t> rank(values.size());
+  for (uint32_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
+  return rank;
+}
+
+// The extension of a relation split off `source`: one row per group of the
+// memoized NULL-skipping partition on `columns[0, key_width)`, taken from
+// the group's first row — so rows conflicting under an expert-enforced FD
+// resolve first-wins — and projected on `columns`, in ascending order of
+// the key's values. Groups are ordered by dictionary ranks; only the
+// representative rows are decoded, in row order (page-local when paged).
+Result<std::shared_ptr<std::vector<ValueVector>>> GatherRepresentatives(
+    const Table& source, const std::vector<size_t>& columns,
+    size_t key_width) {
+  DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
+                        source.query_cache());
+  const std::vector<size_t> key(columns.begin(),
+                                columns.begin() + key_width);
+  std::shared_ptr<const CodePartition> partition =
+      cache->Partition(key, NullPolicy::kSkipNullRows);
+  cache->EnsureEncoded(columns);
+  const EncodedTable& encoded = cache->encoded();
+
+  std::vector<uint32_t> representatives;
+  representatives.reserve(partition->num_groups());
+  for (uint32_t row : partition->representative) {
+    if (row != CodePartition::kSkipped) representatives.push_back(row);
+  }
+  // Single-column partitions index representatives by dictionary code.
+  // Codes follow first appearance, so this is already row order; sorting
+  // keeps the reads below moving forward whatever the code order.
+  std::sort(representatives.begin(), representatives.end());
+  const size_t groups = representatives.size();
+
+  // Least-significant-digit radix sort of the groups by key: one stable
+  // counting pass per key column, the column's value ranks as digits.
+  std::vector<uint32_t> order(groups);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<uint32_t> digit(groups);
+  std::vector<uint32_t> sorted(groups);
+  for (size_t k = key_width; k-- > 0;) {
+    DBRE_ASSIGN_OR_RETURN(std::vector<uint32_t> rank_of,
+                          DictionaryRanks(encoded, key[k]));
+    EncodedTable::CodeReader codes = encoded.codes_reader(key[k]);
+    std::vector<uint32_t> next(rank_of.size() + 1, 0);
+    for (size_t g = 0; g < groups; ++g) {
+      digit[g] = rank_of[codes.At(representatives[g])];
+      ++next[digit[g] + 1];
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (uint32_t g : order) sorted[next[digit[g]]++] = g;
+    order.swap(sorted);
+  }
+  std::vector<uint32_t> slot(groups);
+  for (uint32_t i = 0; i < groups; ++i) slot[order[i]] = i;
+
+  auto rows = std::make_shared<std::vector<ValueVector>>(groups);
+  EncodedTable::RowReader reader =
+      encoded.row_reader(std::vector<size_t>(columns));
+  for (size_t g = 0; g < groups; ++g) {
+    reader.Read(representatives[g], &(*rows)[slot[g]]);
+  }
+  return rows;
+}
+
 // Creates R_p with attributes `attributes` (types copied from `source`),
-// key `key`, and extension given by `rows`.
+// key `key`, and extension `rows` (gathered from `source`'s columns, so
+// already well-typed and NULL-free on the key).
 Status CreateRelationFrom(Database* database, const std::string& name,
                           const Table& source,
                           const std::vector<std::string>& attributes,
                           const AttributeSet& key,
-                          std::vector<ValueVector> rows) {
+                          std::shared_ptr<std::vector<ValueVector>> rows) {
   RelationSchema schema(name);
   for (const std::string& attribute : attributes) {
     DBRE_ASSIGN_OR_RETURN(DataType type,
@@ -55,15 +135,8 @@ Status CreateRelationFrom(Database* database, const std::string& name,
   }
   DBRE_RETURN_IF_ERROR(schema.DeclareUnique(key));
   Table table(std::move(schema));
-  for (ValueVector& row : rows) {
-    DBRE_RETURN_IF_ERROR(table.Insert(std::move(row)));
-  }
+  DBRE_RETURN_IF_ERROR(table.AdoptExtension(std::move(rows)));
   return database->AddTable(std::move(table));
-}
-
-bool HasNull(const ValueVector& row) {
-  return std::any_of(row.begin(), row.end(),
-                     [](const Value& v) { return v.is_null(); });
 }
 
 }  // namespace
@@ -90,10 +163,11 @@ Result<RestructResult> Restruct(const Database& database,
     std::string name = UniqueName(result.database, base);
 
     // Extension: distinct non-NULL projection of r_i on A_i.
-    DBRE_ASSIGN_OR_RETURN(ValueVectorSet values,
-                          source->DistinctProjection(h.attributes));
-    std::vector<ValueVector> rows(values.begin(), values.end());
-    std::sort(rows.begin(), rows.end());
+    DBRE_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
+                          source->ProjectionIndexes(h.attributes));
+    DBRE_ASSIGN_OR_RETURN(
+        std::shared_ptr<std::vector<ValueVector>> rows,
+        GatherRepresentatives(*source, indexes, indexes.size()));
     DBRE_RETURN_IF_ERROR(CreateRelationFrom(
         &result.database, name, *source, h.attributes.names(), h.attributes,
         std::move(rows)));
@@ -106,13 +180,18 @@ Result<RestructResult> Restruct(const Database& database,
                     h.attributes, name);
   }
 
-  // Pass 2 — FD splitting.
+  // Pass 2 — FD splitting. Each relation's moved attributes B_i leave it
+  // after the pass, in one projection (DropAttributes); until then every
+  // split reads the source's memoized partitions as RHS-Discovery left them.
+  std::map<std::string, AttributeSet> moved;
   for (const FunctionalDependency& fd : fds) {
-    DBRE_ASSIGN_OR_RETURN(Table * source,
-                          result.database.GetMutableTable(fd.relation));
+    DBRE_ASSIGN_OR_RETURN(const Table* source,
+                          result.database.GetTable(fd.relation));
+    AttributeSet& moved_here = moved[fd.relation];
     for (const std::string& attribute :
          fd.lhs.Union(fd.rhs)) {
-      if (!source->schema().HasAttribute(attribute)) {
+      if (!source->schema().HasAttribute(attribute) ||
+          moved_here.Contains(attribute)) {
         return FailedPreconditionError(
             "FD " + fd.ToString() + " references attribute " + attribute +
             " already moved by an earlier FD; FDs in F must not overlap");
@@ -132,34 +211,20 @@ Result<RestructResult> Restruct(const Database& database,
     std::vector<std::string> attribute_order;
     for (const std::string& a : fd.lhs) attribute_order.push_back(a);
     for (const std::string& b : fd.rhs) attribute_order.push_back(b);
-    DBRE_ASSIGN_OR_RETURN(std::vector<size_t> lhs_indexes,
-                          OrderedProjectionIndexes(*source, fd.lhs.names()));
+    // Refuses an empty LHS: the key must project on some attribute.
+    DBRE_RETURN_IF_ERROR(
+        OrderedProjectionIndexes(*source, fd.lhs.names()).status());
     DBRE_ASSIGN_OR_RETURN(
         std::vector<size_t> all_indexes,
         OrderedProjectionIndexes(*source, attribute_order));
-    std::unordered_map<ValueVector, ValueVector, ValueVectorHash> projected;
-    DBRE_RETURN_IF_ERROR(source->ForEachRow([&](const ValueVector& row) {
-      ValueVector key = Table::ProjectRow(row, lhs_indexes);
-      if (HasNull(key)) return;
-      projected.try_emplace(std::move(key),
-                            Table::ProjectRow(row, all_indexes));
-    }));
-    std::vector<ValueVector> rows;
-    rows.reserve(projected.size());
-    for (auto& [key, row] : projected) rows.push_back(std::move(row));
-    std::sort(rows.begin(), rows.end());
+    DBRE_ASSIGN_OR_RETURN(
+        std::shared_ptr<std::vector<ValueVector>> rows,
+        GatherRepresentatives(*source, all_indexes, fd.lhs.size()));
     DBRE_RETURN_IF_ERROR(CreateRelationFrom(&result.database, name, *source,
                                             attribute_order, fd.lhs,
                                             std::move(rows)));
     result.provenance[name] = "FD " + fd.ToString();
-
-    // Remove B_i from R_i (schema + extension). Re-fetch the table pointer:
-    // AddTable may have invalidated it.
-    DBRE_ASSIGN_OR_RETURN(source,
-                          result.database.GetMutableTable(fd.relation));
-    for (const std::string& attribute : fd.rhs) {
-      DBRE_RETURN_IF_ERROR(source->DropAttribute(attribute));
-    }
+    moved_here = moved_here.Union(fd.rhs);
 
     // Add R_i[A_i] ≪ R_p[A_i]; rewrite other occurrences of
     // R_i[⊆ A_i ∪ B_i].
@@ -167,6 +232,12 @@ Result<RestructResult> Restruct(const Database& database,
                              fd.lhs.names());
     RewriteIndSides(&result.inds, result.inds.size() - 1, fd.relation, all,
                     name);
+  }
+  for (const auto& [relation, attributes] : moved) {
+    if (attributes.empty()) continue;
+    DBRE_ASSIGN_OR_RETURN(Table * table,
+                          result.database.GetMutableTable(relation));
+    DBRE_RETURN_IF_ERROR(table->DropAttributes(attributes));
   }
 
   // Drop INDs that became trivial through rewriting, then dedupe.

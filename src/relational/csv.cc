@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -13,79 +13,142 @@
 namespace dbre {
 namespace {
 
-// One parsed CSV field: its text and whether it was quoted (quoted empty
-// string is "" rather than NULL).
+// One parsed CSV field. Unquoted fields — nearly all of a dump — are
+// viewed in place; quoted ones are assembled with their "" escapes
+// resolved.
 struct CsvField {
-  std::string text;
-  bool quoted = false;
+  std::string_view raw;
+  std::string unescaped;
+  bool quoted = false;  // a quoted empty string is "" rather than NULL
+
+  std::string_view text() const {
+    return quoted ? std::string_view(unescaped) : raw;
+  }
 };
 
-// Parses one CSV record starting at `*pos`; advances `*pos` past the record
-// terminator. Handles quoted fields with embedded commas/newlines.
-// `*lines_consumed` is incremented once per physical line break consumed —
-// including breaks embedded in quoted fields — so callers can report real
-// file line numbers even when records span multiple lines.
-Result<std::vector<CsvField>> ParseRecord(std::string_view text, size_t* pos,
-                                          size_t* lines_consumed,
-                                          size_t expected_fields = 0) {
-  std::vector<CsvField> fields;
-  fields.reserve(expected_fields);
-  CsvField current;
-  bool in_quotes = false;
-  bool saw_any = false;
-  size_t i = *pos;
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          current.text += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+// Parses CSV records one at a time into a field buffer reused across
+// records, so steady-state parsing allocates nothing. Handles quoted fields
+// with embedded commas and line breaks.
+class RecordParser {
+ public:
+  explicit RecordParser(std::string_view text) : text_(text) {}
+
+  bool AtEnd() const { return pos_ >= text_.size(); }
+  size_t pos() const { return pos_; }
+
+  // Parses the record starting at pos() and advances past its terminator.
+  // Afterwards size() fields are valid (none for a blank line) and lines()
+  // counts the physical line breaks consumed — including breaks inside
+  // quoted fields — so callers can report real file line numbers even
+  // when records span lines.
+  Status Next() {
+    size_ = 0;
+    lines_ = 0;
+    const size_t n = text_.size();
+    size_t i = pos_;
+    if (i >= n || text_[i] == '\n' || text_[i] == '\r') {
+      pos_ = i < n ? SkipTerminator(i) : n;  // blank line (or end)
+      return Status::Ok();
+    }
+    while (true) {
+      CsvField& field = NewField();
+      if (text_[i] == '"') {
+        DBRE_RETURN_IF_ERROR(ParseQuoted(&i, &field));
       } else {
-        if (c == '\n' ||
-            (c == '\r' && (i + 1 >= text.size() || text[i + 1] != '\n'))) {
-          ++*lines_consumed;
-        }
-        current.text += c;
+        const size_t end = FindDelimiter(i);
+        field.raw = text_.substr(i, end - i);
+        i = end;
       }
-      continue;
-    }
-    if (c == '"' && current.text.empty() && !current.quoted) {
-      in_quotes = true;
-      current.quoted = true;
-      saw_any = true;
-      continue;
-    }
-    if (c == ',') {
-      fields.push_back(std::move(current));
-      current = CsvField{};
-      saw_any = true;
-      continue;
-    }
-    if (c == '\n' || c == '\r') {
-      // Consume \r\n or lone terminator.
-      if (c == '\r' && i + 1 < text.size() && text[i + 1] == '\n') ++i;
+      if (i >= n) {
+        pos_ = n;
+        return Status::Ok();
+      }
+      if (text_[i] != ',') {
+        pos_ = SkipTerminator(i);
+        return Status::Ok();
+      }
       ++i;
-      ++*lines_consumed;
-      break;
+      if (i >= n) {  // trailing comma: one more, empty, field
+        NewField();
+        pos_ = n;
+        return Status::Ok();
+      }
     }
-    current.text += c;
-    saw_any = true;
   }
-  if (in_quotes) {
-    return ParseError("unterminated quoted CSV field");
+
+  size_t size() const { return size_; }
+  size_t lines() const { return lines_; }
+  const CsvField& field(size_t i) const { return fields_[i]; }
+
+ private:
+  CsvField& NewField() {
+    if (size_ == fields_.size()) fields_.emplace_back();
+    CsvField& field = fields_[size_++];
+    field.raw = {};
+    field.unescaped.clear();
+    field.quoted = false;
+    return field;
   }
-  *pos = i;
-  if (!saw_any && fields.empty() && current.text.empty() &&
-      !current.quoted) {
-    return std::vector<CsvField>{};  // blank line
+
+  // First ',', '\n' or '\r' at or after `i`, or the end of the input.
+  size_t FindDelimiter(size_t i) const {
+    const size_t n = text_.size();
+    while (i < n) {
+      const char c = text_[i];
+      if (c == ',' || c == '\n' || c == '\r') break;
+      ++i;
+    }
+    return i;
   }
-  fields.push_back(std::move(current));
-  return fields;
-}
+
+  // Consumes the \r\n or lone terminator at `i`; returns the next record's
+  // start.
+  size_t SkipTerminator(size_t i) {
+    if (text_[i] == '\r' && i + 1 < text_.size() && text_[i + 1] == '\n') ++i;
+    ++lines_;
+    return i + 1;
+  }
+
+  // Parses a field opening with '"' at *i: "" escapes a quote, the closing
+  // quote ends quoting, and any bytes after it up to the next delimiter are
+  // literal text of the same field. Leaves *i on that delimiter.
+  Status ParseQuoted(size_t* i, CsvField* field) {
+    const size_t n = text_.size();
+    field->quoted = true;
+    for (size_t k = *i + 1;;) {
+      const void* hit = std::memchr(text_.data() + k, '"', n - k);
+      if (hit == nullptr) return ParseError("unterminated quoted CSV field");
+      const size_t quote =
+          static_cast<size_t>(static_cast<const char*>(hit) - text_.data());
+      CountLineBreaks(k, quote);
+      if (quote + 1 < n && text_[quote + 1] == '"') {
+        field->unescaped.append(text_.data() + k, quote + 1 - k);
+        k = quote + 2;
+        continue;
+      }
+      field->unescaped.append(text_.data() + k, quote - k);
+      const size_t end = FindDelimiter(quote + 1);
+      field->unescaped.append(text_.data() + quote + 1, end - quote - 1);
+      *i = end;
+      return Status::Ok();
+    }
+  }
+
+  // Counts line breaks in quoted bytes [from, to): each \n, and each \r not
+  // followed by \n.
+  void CountLineBreaks(size_t from, size_t to) {
+    for (size_t k = from; k < to; ++k) {
+      const bool crlf = k + 1 < text_.size() && text_[k + 1] == '\n';
+      if (text_[k] == '\n' || (text_[k] == '\r' && !crlf)) ++lines_;
+    }
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::vector<CsvField> fields_;
+  size_t size_ = 0;
+  size_t lines_ = 0;
+};
 
 bool NeedsQuoting(std::string_view text) {
   return text.find_first_of(",\"\n\r") != std::string_view::npos;
@@ -122,22 +185,20 @@ bool UnquotedTextRoundTrips(std::string_view text) {
 Result<size_t> LoadCsvText(std::string_view csv_text, Table* table) {
   if (table == nullptr) return InvalidArgumentError("table is null");
   const RelationSchema& schema = table->schema();
-  size_t pos = 0;
-  size_t line = 1;  // physical line the next record starts on
-  size_t consumed = 0;
-  DBRE_ASSIGN_OR_RETURN(std::vector<CsvField> header,
-                        ParseRecord(csv_text, &pos, &consumed));
-  line += consumed;
-  if (header.empty()) return ParseError("CSV input has no header");
-  if (header.size() != schema.arity()) {
-    return ParseError("CSV header has " + std::to_string(header.size()) +
+  RecordParser parser(csv_text);
+  DBRE_RETURN_IF_ERROR(parser.Next());
+  size_t line = 1 + parser.lines();  // physical line the next record starts on
+  if (parser.size() == 0) return ParseError("CSV input has no header");
+  const size_t width = parser.size();
+  if (width != schema.arity()) {
+    return ParseError("CSV header has " + std::to_string(width) +
                       " columns, schema " + schema.name() + " has " +
                       std::to_string(schema.arity()));
   }
-  std::vector<size_t> column_to_attribute(header.size());
+  std::vector<size_t> column_to_attribute(width);
   std::vector<bool> used(schema.arity(), false);
-  for (size_t i = 0; i < header.size(); ++i) {
-    std::string name(TrimWhitespace(header[i].text));
+  for (size_t i = 0; i < width; ++i) {
+    std::string name(TrimWhitespace(parser.field(i).text()));
     DBRE_ASSIGN_OR_RETURN(size_t index, schema.AttributeIndex(name));
     if (used[index]) {
       return ParseError("duplicate CSV header column: " + name);
@@ -150,45 +211,42 @@ Result<size_t> LoadCsvText(std::string_view csv_text, Table* table) {
   // most one record (records can span lines but never share one), so the
   // newline count bounds the number of inserts.
   table->Reserve(static_cast<size_t>(
-      std::count(csv_text.begin() + static_cast<ptrdiff_t>(pos),
+      std::count(csv_text.begin() + static_cast<ptrdiff_t>(parser.pos()),
                  csv_text.end(), '\n')) +
                  1);
 
   size_t loaded = 0;
-  while (pos < csv_text.size()) {
-    size_t record_line = line;
-    consumed = 0;
-    DBRE_ASSIGN_OR_RETURN(std::vector<CsvField> record,
-                          ParseRecord(csv_text, &pos, &consumed,
-                                      header.size()));
-    line += consumed;
-    if (record.empty()) continue;  // blank line
-    if (record.size() != header.size()) {
+  while (!parser.AtEnd()) {
+    const size_t record_line = line;
+    DBRE_RETURN_IF_ERROR(parser.Next());
+    line += parser.lines();
+    if (parser.size() == 0) continue;  // blank line
+    if (parser.size() != width) {
       return ParseError("CSV record at line " + std::to_string(record_line) +
-                        " has " + std::to_string(record.size()) +
-                        " fields, expected " + std::to_string(header.size()));
+                        " has " + std::to_string(parser.size()) +
+                        " fields, expected " + std::to_string(width));
     }
     ValueVector row(schema.arity());
-    for (size_t i = 0; i < record.size(); ++i) {
-      size_t attribute_index = column_to_attribute[i];
-      DataType type = schema.attributes()[attribute_index].type;
-      Value value;
-      if (record[i].quoted) {
+    for (size_t i = 0; i < width; ++i) {
+      const CsvField& field = parser.field(i);
+      const size_t attribute_index = column_to_attribute[i];
+      const DataType type = schema.attributes()[attribute_index].type;
+      Value& value = row[attribute_index];
+      if (field.quoted) {
         // Quoted fields are never NULL: string fields are taken verbatim
         // (a quoted empty string is "" rather than NULL), and typed fields
         // must parse — a quoted "NULL" in an int64 column is an error, not
         // a silent NULL.
         if (type == DataType::kString) {
-          value = Value::Text(std::move(record[i].text));
+          value = Value::Text(std::string(field.text()));
         } else {
           DBRE_ASSIGN_OR_RETURN(
-              value, Value::Parse(record[i].text, type,
+              value, Value::Parse(field.text(), type,
                                   Value::NullHandling::kNeverNull));
         }
       } else {
-        DBRE_ASSIGN_OR_RETURN(value, Value::Parse(record[i].text, type));
+        DBRE_ASSIGN_OR_RETURN(value, Value::Parse(field.text(), type));
       }
-      row[attribute_index] = std::move(value);
     }
     DBRE_RETURN_IF_ERROR(table->Insert(std::move(row)));
     ++loaded;
@@ -199,13 +257,22 @@ Result<size_t> LoadCsvText(std::string_view csv_text, Table* table) {
 Result<size_t> LoadCsvFile(const std::string& path, Table* table) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return IoError("cannot open " + path);
+  // A file that can be sized arrives in one read(); the rest — all of a
+  // pipe, which cannot be sized, or bytes appended meanwhile — is streamed.
+  std::filebuf& file = *in.rdbuf();
   std::string buffer;
-  in.seekg(0, std::ios::end);
-  const std::streampos size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (size > 0) buffer.reserve(static_cast<size_t>(size));
-  buffer.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
+  const std::streamoff size = file.pubseekoff(0, std::ios::end, std::ios::in);
+  if (size > 0) {
+    if (file.pubseekoff(0, std::ios::beg, std::ios::in) != 0) {
+      return IoError("cannot read " + path);
+    }
+    buffer.resize(static_cast<size_t>(size));
+    buffer.resize(static_cast<size_t>(file.sgetn(buffer.data(), size)));
+  }
+  char chunk[1 << 16];
+  for (std::streamsize got; (got = file.sgetn(chunk, sizeof chunk)) > 0;) {
+    buffer.append(chunk, static_cast<size_t>(got));
+  }
   return LoadCsvText(buffer, table);
 }
 

@@ -230,6 +230,7 @@ EncodedTable::RowReader::RowReader(const EncodedTable* encoded,
 
 void EncodedTable::RowReader::Read(size_t row, ValueVector* out) {
   out->clear();
+  out->reserve(columns_.size());
   for (size_t k = 0; k < columns_.size(); ++k) {
     uint32_t code = readers_[k].At(row);
     out->push_back(code == kNullCode

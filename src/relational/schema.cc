@@ -13,6 +13,7 @@ Status RelationSchema::AddAttribute(Attribute attribute) {
                               attribute.name);
   }
   attributes_.push_back(std::move(attribute));
+  RefreshNotNull();
   return Status::Ok();
 }
 
@@ -34,6 +35,7 @@ Status RelationSchema::RemoveAttribute(std::string_view name) {
       std::remove_if(unique_constraints_.begin(), unique_constraints_.end(),
                      [](const AttributeSet& set) { return set.empty(); }),
       unique_constraints_.end());
+  RefreshNotNull();
   return Status::Ok();
 }
 
@@ -79,6 +81,7 @@ Status RelationSchema::DeclareUnique(AttributeSet attributes) {
                               "." + attributes.ToString());
   }
   unique_constraints_.push_back(std::move(attributes));
+  RefreshNotNull();
   return Status::Ok();
 }
 
@@ -86,6 +89,7 @@ Status RelationSchema::DeclareNotNull(std::string_view name) {
   for (Attribute& attribute : attributes_) {
     if (attribute.name == name) {
       attribute.not_null = true;
+      RefreshNotNull();
       return Status::Ok();
     }
   }
@@ -105,13 +109,24 @@ bool RelationSchema::IsKey(const AttributeSet& attributes) const {
 
 AttributeSet RelationSchema::NotNullAttributes() const {
   AttributeSet out;
-  for (const Attribute& attribute : attributes_) {
-    if (attribute.not_null) out.Insert(attribute.name);
-  }
-  for (const AttributeSet& unique : unique_constraints_) {
-    for (const std::string& name : unique) out.Insert(name);
+  for (size_t i = 0; i < attributes_.size(); ++i) {
+    if (not_null_[i]) out.Insert(attributes_[i].name);
   }
   return out;
+}
+
+void RelationSchema::RefreshNotNull() {
+  not_null_.assign(attributes_.size(), false);
+  for (size_t i = 0; i < attributes_.size(); ++i) {
+    not_null_[i] = attributes_[i].not_null;
+  }
+  for (const AttributeSet& unique : unique_constraints_) {
+    for (const std::string& name : unique) {
+      for (size_t i = 0; i < attributes_.size(); ++i) {
+        if (attributes_[i].name == name) not_null_[i] = true;
+      }
+    }
+  }
 }
 
 std::string RelationSchema::ToString() const {

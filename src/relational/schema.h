@@ -78,13 +78,21 @@ class RelationSchema {
   // of every unique declaration.
   AttributeSet NotNullAttributes() const;
 
+  // The same set as a flag per attribute, in attributes() order — what row
+  // validation consults. Kept current by the mutators above.
+  const std::vector<bool>& not_null_mask() const { return not_null_; }
+
   // Renders e.g. "Person(id*, name, street) unique{id}" for diagnostics.
   std::string ToString() const;
 
  private:
+  // Rebuilds not_null_ from the declarations after any of them changes.
+  void RefreshNotNull();
+
   std::string name_;
   std::vector<Attribute> attributes_;
   std::vector<AttributeSet> unique_constraints_;
+  std::vector<bool> not_null_;  // parallel to attributes_
 };
 
 }  // namespace dbre

@@ -18,6 +18,12 @@ std::mutex g_query_cache_mutex;
 
 }  // namespace
 
+Status Table::TypeMismatch(size_t column, const Value& value) const {
+  return InvalidArgumentError("type mismatch for " + schema_.name() + "." +
+                              schema_.attributes()[column].name +
+                              ": value " + value.ToString());
+}
+
 void Table::DiePagedAccess(const char* what) {
   std::fprintf(stderr,
                "dbre: Table::%s called on a paged extension; row-shaped "
@@ -147,18 +153,16 @@ Result<size_t> Table::UpdateRows(
   if (columns.empty() || columns.size() != values.size()) {
     return InvalidArgumentError("UpdateRows: column/value count mismatch");
   }
-  const AttributeSet not_null = schema_.NotNullAttributes();
+  const std::vector<bool>& not_null = schema_.not_null_mask();
   for (size_t k = 0; k < columns.size(); ++k) {
     if (columns[k] >= schema_.arity()) {
       return InvalidArgumentError("UpdateRows: column index out of range");
     }
     const Attribute& attribute = schema_.attributes()[columns[k]];
     if (!values[k].MatchesType(attribute.type)) {
-      return InvalidArgumentError("type mismatch for " + schema_.name() +
-                                  "." + attribute.name + ": value " +
-                                  values[k].ToString());
+      return TypeMismatch(columns[k], values[k]);
     }
-    if (values[k].is_null() && not_null.Contains(attribute.name)) {
+    if (values[k].is_null() && not_null[columns[k]]) {
       return InvalidArgumentError("NULL in not-null attribute " +
                                   schema_.name() + "." + attribute.name);
     }
@@ -239,6 +243,11 @@ Status Table::AdoptExtension(std::shared_ptr<std::vector<ValueVector>> rows) {
           ": got " + std::to_string(row.size()) + ", want " +
           std::to_string(schema_.arity()));
     }
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (!row[i].MatchesType(schema_.attributes()[i].type)) {
+        return TypeMismatch(i, row[i]);
+      }
+    }
   }
   std::lock_guard<std::mutex> lock(g_query_cache_mutex);
   NoteStructural();
@@ -275,15 +284,11 @@ Status Table::Insert(ValueVector row) {
         std::to_string(row.size()) + ", want " +
         std::to_string(schema_.arity()));
   }
-  const AttributeSet not_null = schema_.NotNullAttributes();
+  const std::vector<bool>& not_null = schema_.not_null_mask();
   for (size_t i = 0; i < row.size(); ++i) {
     const Attribute& attribute = schema_.attributes()[i];
-    if (!row[i].MatchesType(attribute.type)) {
-      return InvalidArgumentError("type mismatch for " + schema_.name() +
-                                  "." + attribute.name + ": value " +
-                                  row[i].ToString());
-    }
-    if (row[i].is_null() && not_null.Contains(attribute.name)) {
+    if (!row[i].MatchesType(attribute.type)) return TypeMismatch(i, row[i]);
+    if (row[i].is_null() && not_null[i]) {
       return InvalidArgumentError("NULL in not-null attribute " +
                                   schema_.name() + "." + attribute.name);
     }
@@ -314,20 +319,35 @@ Status Table::ForEachRow(
   return Status::Ok();
 }
 
-Status Table::DropAttribute(std::string_view name) {
+Status Table::DropAttributes(const AttributeSet& attributes) {
+  for (const std::string& name : attributes) {
+    DBRE_RETURN_IF_ERROR(schema_.AttributeIndex(name).status());
+  }
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < schema_.arity(); ++i) {
+    if (!attributes.Contains(schema_.attributes()[i].name)) kept.push_back(i);
+  }
+  for (const std::string& name : attributes) {
+    DBRE_RETURN_IF_ERROR(schema_.RemoveAttribute(name));
+  }
   NoteStructural();
-  DBRE_ASSIGN_OR_RETURN(size_t index, schema_.AttributeIndex(name));
-  DBRE_RETURN_IF_ERROR(schema_.RemoveAttribute(name));
   if (paged_ != nullptr) {
     // Projection only: the on-disk source keeps all its columns and the
-    // column map stops referencing the dropped one.
-    paged_columns_.erase(paged_columns_.begin() +
-                         static_cast<ptrdiff_t>(index));
+    // column map stops referencing the dropped ones.
+    std::vector<uint32_t> columns;
+    columns.reserve(kept.size());
+    for (size_t index : kept) columns.push_back(paged_columns_[index]);
+    paged_columns_ = std::move(columns);
     return Status::Ok();
   }
-  for (ValueVector& row : mutable_rows()) {
-    row.erase(row.begin() + static_cast<ptrdiff_t>(index));
+  // Builds fresh storage rather than editing in place: the rows are
+  // usually still shared with the catalog this table was cloned from.
+  auto projected = std::make_shared<std::vector<ValueVector>>();
+  projected->reserve(rows_->size());
+  for (const ValueVector& row : *rows_) {
+    projected->push_back(ProjectRow(row, kept));
   }
+  rows_ = std::move(projected);
   return Status::Ok();
 }
 

@@ -153,9 +153,11 @@ class Table {
   // paged sources).
   Status ForEachRow(const std::function<void(const ValueVector&)>& fn) const;
 
-  // Removes an attribute from the schema and its column from every row
-  // (used by Restruct when dependent attributes migrate to a new relation).
-  Status DropAttribute(std::string_view name);
+  // Removes `attributes` from the schema and their columns from the
+  // extension in one projection pass (used by Restruct when dependent
+  // attributes migrate to new relations). A paged extension only edits its
+  // column map. Fails not_found, changing nothing, if any is missing.
+  Status DropAttributes(const AttributeSet& attributes);
 
   // Column indexes for `attributes`, in the set's (sorted) order.
   Result<std::vector<size_t>> ProjectionIndexes(
@@ -199,9 +201,11 @@ class Table {
 
   // Replaces the extension wholesale with storage the caller built outside
   // the Insert path — the snapshot loader (src/store/) decodes column pages
-  // straight into a row vector and installs it here in one move. Rows must
-  // match the schema's arity; cell types are trusted (the snapshot format
-  // stores them per column and the loader constructs typed values).
+  // straight into a row vector and installs it here in one move, and
+  // Restruct installs the relations it gathers from partition
+  // representatives. Rows must match the schema's arity and cells its
+  // declared types (Insert's message on a mismatch); not-null declarations
+  // are the caller's to honour.
   Status AdoptExtension(std::shared_ptr<std::vector<ValueVector>> rows);
 
   // Rough heap footprint of the extension (row vectors plus string
@@ -213,6 +217,9 @@ class Table {
   friend class ExtensionRegistry;
 
   [[noreturn]] static void DiePagedAccess(const char* what);
+
+  // The error for `value` not matching column `column`'s declared type.
+  Status TypeMismatch(size_t column, const Value& value) const;
 
   // Copy-on-write access for mutators. Callers must reset cache_ first: a
   // cache held only by this table then releases its pin on the storage and

@@ -503,7 +503,14 @@ void Session::ExecuteRun(const RunOptions& options) {
       std::memory_order_release);
   // The catalog is frozen while kRunning (loads are rejected), so reading
   // database_/joins_ without the session lock is safe here.
-  if (registry_ != nullptr) registry_->InternDatabase(&database_);
+  // Interning this run's extensions drops the session's last hold on the
+  // versions a mutate superseded (their cache was its delta base); sweep
+  // them now rather than at session close, or every mutate→run round of a
+  // live session would pin one more version until FIFO eviction.
+  if (registry_ != nullptr) {
+    registry_->InternDatabase(&database_);
+    registry_->Sweep();
+  }
 
   PipelineOptions pipeline_options;
   pipeline_options.infer_missing_keys = options.infer_keys;

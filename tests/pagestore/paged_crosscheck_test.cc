@@ -3,7 +3,8 @@
 // run, for every combination of the sketch and key-index gates, even with
 // a buffer pool far smaller than the extensions it serves. Also checks the
 // row-shaped exporters (CSV, INSERT batches) stream paged extensions
-// losslessly through Table::ForEachRow.
+// losslessly through Table::ForEachRow, and that Restruct over paged
+// sources matches the row-based reference.
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "relational/sketch.h"
 #include "sql/ddl_writer.h"
 #include "store/snapshot.h"
+#include "support/restruct_reference.h"
 #include "test_pool.h"
 #include "workload/generator.h"
 
@@ -130,6 +132,48 @@ TEST_F(PagedCrosscheckTest, PipelineReportIsByteIdenticalInEveryMode) {
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LE(stats.resident_bytes, stats.frames * pagestore::kPageSize);
+}
+
+// Restruct reads partitions and decodes representatives through the
+// buffer pool, and drops moved attributes from a paged source by editing
+// its column map: the result must equal the row-based reference run on
+// the in-memory catalog.
+TEST_F(PagedCrosscheckTest, RestructOverPagesMatchesRowReference) {
+  workload::SyntheticSpec spec;
+  spec.num_entities = 5;
+  spec.num_merged = 2;
+  spec.rows_per_entity = 500;
+  spec.seed = 7;
+  auto generated = workload::GenerateSynthetic(spec);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  ThresholdOracle::Options oracle_options;
+  oracle_options.accept_hidden_objects = true;
+  ThresholdOracle oracle(oracle_options);
+  PipelineOptions options;
+  options.run_restruct = false;
+  auto report = RunPipeline(generated->database, generated->queries, &oracle,
+                            options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->rhs.fds.empty());
+
+  DefaultOracle reference_oracle;
+  auto expected = reference::Restruct(report->working_database,
+                                      report->rhs.fds, report->rhs.hidden,
+                                      report->ind.inds, &reference_oracle);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  auto pool = std::make_shared<pagestore::BufferPool>(TestBufferPoolBytes());
+  Database paged = PagedCopy(report->working_database, pool);
+  if (::testing::Test::HasFailure()) return;
+  DefaultOracle paged_oracle;
+  auto actual = Restruct(paged, report->rhs.fds, report->rhs.hidden,
+                         report->ind.inds, &paged_oracle);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(reference::Describe(*actual), reference::Describe(*expected));
+  for (const FunctionalDependency& fd : report->rhs.fds) {
+    EXPECT_TRUE((*actual->database.GetTable(fd.relation))->is_paged())
+        << fd.relation;
+  }
 }
 
 TEST_F(PagedCrosscheckTest, RowExportersStreamPagedExtensionsLosslessly) {

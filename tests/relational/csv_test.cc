@@ -1,6 +1,12 @@
 #include "relational/csv.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
 
 namespace dbre {
 namespace {
@@ -204,6 +210,117 @@ TEST(CsvTest, ErrorLineNumbersWithoutQuotedNewlines) {
       << loaded.status();
 }
 
+// --- Parser edge cases, with the exact messages loaders have always given --
+
+// T(id*, name, score) with id declared not-null.
+Table MakeNotNullTable() {
+  RelationSchema schema("T");
+  EXPECT_TRUE(schema.AddAttribute("id", DataType::kInt64, true).ok());
+  EXPECT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
+  EXPECT_TRUE(schema.AddAttribute("score", DataType::kDouble).ok());
+  return Table(std::move(schema));
+}
+
+std::string LoadError(std::string_view csv, Table* table) {
+  auto loaded = LoadCsvText(csv, table);
+  return loaded.ok() ? "ok" : loaded.status().ToString();
+}
+
+TEST(CsvEdgeTest, DoubledQuotesAndQuotedVersusUnquotedEmpty) {
+  Table table = MakeTable();
+  auto loaded = LoadCsvText(
+      "id,name,score\n"
+      "1,\"a\"\"b\",1\n"    // "" inside quotes is one quote
+      "2,\"\"\"\",1\n"      // a field that is just a quote
+      "3,\"\",\n"           // quoted empty: ""; unquoted empty: NULL
+      "4,,\n"
+      "5,\"ab\"cd,1\n"      // bytes after the closing quote are text
+      "6,ab\"cd,1\n",       // a quote inside an unquoted field is text
+      &table);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(*loaded, 6u);
+  EXPECT_EQ(table.row(0)[1], Value::Text("a\"b"));
+  EXPECT_EQ(table.row(1)[1], Value::Text("\""));
+  EXPECT_EQ(table.row(2)[1], Value::Text(""));
+  EXPECT_TRUE(table.row(2)[2].is_null());
+  EXPECT_TRUE(table.row(3)[1].is_null());
+  EXPECT_TRUE(table.row(3)[2].is_null());
+  EXPECT_EQ(table.row(4)[1], Value::Text("abcd"));
+  EXPECT_EQ(table.row(5)[1], Value::Text("ab\"cd"));
+
+  // A quoted empty field in a typed column must parse, and "" is no int.
+  Table typed = MakeTable();
+  EXPECT_EQ(LoadError("id,name,score\n\"\",a,1\n", &typed),
+            "parse_error: not an int64: ''");
+}
+
+TEST(CsvEdgeTest, QuotedNullIsText) {
+  Table table = MakeTable();
+  ASSERT_TRUE(LoadCsvText("id,name,score\n1,\"NULL\",1\n2,NULL,1\n", &table)
+                  .ok());
+  EXPECT_EQ(table.row(0)[1], Value::Text("NULL"));
+  EXPECT_TRUE(table.row(1)[1].is_null());
+  Table typed = MakeTable();
+  EXPECT_EQ(LoadError("id,name,score\n\"NULL\",a,1\n", &typed),
+            "parse_error: not an int64: 'NULL'");
+}
+
+TEST(CsvEdgeTest, EmbeddedLineBreaksKeepPhysicalLineNumbers) {
+  // The quoted field breaks with \n, \r\n and a lone \r: three physical
+  // lines, so the short record after it starts on line 6.
+  Table table = MakeTable();
+  EXPECT_EQ(LoadError("id,name,score\n1,\"a\nb\r\nc\rd\",1\n2,x\n", &table),
+            "parse_error: CSV record at line 6 has 2 fields, expected 3");
+  EXPECT_EQ(table.row(0)[1], Value::Text("a\nb\r\nc\rd"));
+}
+
+TEST(CsvEdgeTest, CrlfAndBlankLines) {
+  Table table = MakeTable();
+  auto loaded = LoadCsvText(
+      "id,name,score\r\n\r\n1,a,2\r\n\n\r\n3,b,4\r\n", &table);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, 2u);
+  EXPECT_EQ(table.row(1), (ValueVector{Value::Int(3), Value::Text("b"),
+                                       Value::Real(4)}));
+  Table bad = MakeTable();
+  EXPECT_EQ(LoadError("id,name,score\r\n\r\n1,a\r\n", &bad),
+            "parse_error: CSV record at line 3 has 2 fields, expected 3");
+}
+
+TEST(CsvEdgeTest, TrailingRecordWithoutNewline) {
+  Table table = MakeTable();
+  auto loaded = LoadCsvText("id,name,score\n1,a,1\n2,\"b\",", &table);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(*loaded, 2u);
+  EXPECT_EQ(table.row(1)[1], Value::Text("b"));
+  EXPECT_TRUE(table.row(1)[2].is_null());  // the empty field after ','
+  Table unterminated = MakeTable();
+  EXPECT_EQ(LoadError("id,name,score\n1,\"a,1", &unterminated),
+            "parse_error: unterminated quoted CSV field");
+}
+
+TEST(CsvEdgeTest, TypeAndNotNullErrors) {
+  Table ints = MakeNotNullTable();
+  EXPECT_EQ(LoadError("id,name,score\nx,a,1\n", &ints),
+            "parse_error: not an int64: 'x'");
+  Table doubles = MakeNotNullTable();
+  EXPECT_EQ(LoadError("id,name,score\n1,a,zz\n", &doubles),
+            "parse_error: not a double: 'zz'");
+  // Rows before the failing one stay loaded, as with row-by-row Insert.
+  Table nulls = MakeNotNullTable();
+  EXPECT_EQ(LoadError("id,name,score\n1,a,1\nNULL,b,2\n", &nulls),
+            "invalid_argument: NULL in not-null attribute T.id");
+  EXPECT_EQ(nulls.num_rows(), 1u);
+  // Unique declarations imply not-null, checked through the same mask.
+  RelationSchema keyed("K");
+  ASSERT_TRUE(keyed.AddAttribute("id", DataType::kInt64).ok());
+  ASSERT_TRUE(keyed.AddAttribute("name", DataType::kString).ok());
+  ASSERT_TRUE(keyed.DeclareUnique({"name"}).ok());
+  Table keyed_table(std::move(keyed));
+  EXPECT_EQ(LoadError("name,id\n,1\n", &keyed_table),
+            "invalid_argument: NULL in not-null attribute K.name");
+}
+
 TEST(CsvTest, FileRoundTrip) {
   Table table = MakeTable();
   ASSERT_TRUE(
@@ -216,6 +333,30 @@ TEST(CsvTest, FileRoundTrip) {
   EXPECT_EQ(reloaded.row(0), table.row(0));
   EXPECT_EQ(LoadCsvFile("/nonexistent/x.csv", &reloaded).status().code(),
             StatusCode::kIoError);
+}
+
+TEST(CsvTest, FileLoadsThroughPipe) {
+  // A FIFO cannot be sized or seeked; the loader streams it instead. The
+  // text spans several read chunks.
+  const std::string path = ::testing::TempDir() + "/dbre_csv_pipe.csv";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  constexpr int kRows = 10000;
+  std::string text = "id,name,score\n";
+  for (int i = 0; i < kRows; ++i) {
+    text += std::to_string(i) + ",name" + std::to_string(i) + ",1.5\n";
+  }
+  std::thread writer([&path, &text] {
+    std::ofstream out(path, std::ios::binary);  // blocks until a reader opens
+    out << text;
+  });
+  Table table = MakeTable();
+  auto loaded = LoadCsvFile(path, &table);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, static_cast<size_t>(kRows));
+  EXPECT_EQ(table.row(kRows - 1)[1], Value::Text("name9999"));
 }
 
 TEST(CsvTest, DatabaseExportImportRoundTrip) {

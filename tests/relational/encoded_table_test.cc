@@ -101,7 +101,7 @@ TEST(QueryCacheTest, MutationDropsTheCache) {
   count = table.DistinctCount(AttributeSet{"a"});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
-  ASSERT_TRUE(table.DropAttribute("a").ok());
+  ASSERT_TRUE(table.DropAttributes(AttributeSet{"a"}).ok());
   auto b_count = table.DistinctCount(AttributeSet{"b"});
   ASSERT_TRUE(b_count.ok());
   EXPECT_EQ(*b_count, 3u);

@@ -68,6 +68,27 @@ TEST(SchemaTest, NotNullIncludesKeyAttributes) {
   EXPECT_EQ(schema.DeclareNotNull("missing").code(), StatusCode::kNotFound);
 }
 
+TEST(SchemaTest, NotNullMaskFollowsEveryMutator) {
+  RelationSchema schema("R");
+  ASSERT_TRUE(schema.AddAttribute("a", DataType::kInt64).ok());
+  ASSERT_TRUE(schema.AddAttribute("b", DataType::kString, true).ok());
+  ASSERT_TRUE(schema.AddAttribute("c", DataType::kString).ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{false, true, false}));
+  ASSERT_TRUE(schema.DeclareUnique({"c"}).ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{false, true, true}));
+  ASSERT_TRUE(schema.RemoveAttribute("b").ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{false, true}));
+  ASSERT_TRUE(schema.DeclareNotNull("a").ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{true, true}));
+  ASSERT_TRUE(schema.RemoveAttribute("a").ok());
+  ASSERT_TRUE(schema.AddAttribute("d", DataType::kInt64).ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{true, false}));
+  EXPECT_EQ(schema.NotNullAttributes(), AttributeSet{"c"});
+  // Dropping the key's only attribute drops the declaration.
+  ASSERT_TRUE(schema.RemoveAttribute("c").ok());
+  EXPECT_EQ(schema.not_null_mask(), (std::vector<bool>{false}));
+}
+
 TEST(SchemaTest, RemoveAttributeCleansUniques) {
   RelationSchema schema = MakeSchema();
   ASSERT_TRUE(schema.DeclareUnique({"name", "score"}).ok());
@@ -148,12 +169,27 @@ TEST(TableTest, DropAttributeRemovesColumnData) {
   Table table(MakeSchema());
   ASSERT_TRUE(
       table.Insert({Value::Int(1), Value::Text("a"), Value::Real(1.0)}).ok());
-  ASSERT_TRUE(table.DropAttribute("name").ok());
+  ASSERT_TRUE(
+      table.Insert({Value::Int(2), Value::Text("b"), Value::Real(2.0)}).ok());
+  ASSERT_TRUE(table.DropAttributes(AttributeSet{"name"}).ok());
   EXPECT_EQ(table.schema().arity(), 2u);
   EXPECT_EQ(table.row(0).size(), 2u);
   EXPECT_EQ(table.row(0)[0], Value::Int(1));
   EXPECT_EQ(table.row(0)[1], Value::Real(1.0));
-  EXPECT_EQ(table.DropAttribute("name").code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.row(1)[1], Value::Real(2.0));
+  // A missing attribute fails the whole drop and changes nothing.
+  EXPECT_EQ(table.DropAttributes(AttributeSet{"name", "score"}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table.schema().arity(), 2u);
+  EXPECT_EQ(table.row(0).size(), 2u);
+  // Several attributes go in one pass; the survivors keep their order.
+  Table wide(MakeSchema());
+  ASSERT_TRUE(
+      wide.Insert({Value::Int(7), Value::Text("c"), Value::Real(3.0)}).ok());
+  ASSERT_TRUE(wide.DropAttributes(AttributeSet{"id", "score"}).ok());
+  EXPECT_EQ(wide.schema().arity(), 1u);
+  EXPECT_EQ(wide.row(0), (ValueVector{Value::Text("c")}));
+  EXPECT_TRUE(wide.schema().unique_constraints().empty());
 }
 
 TEST(TableTest, ProjectionIndexesFollowSetOrder) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 
@@ -250,6 +251,33 @@ TEST(MutationWatchTest, IncrementalRerunMatchesFreshSession) {
   client.MustCall(std::move(fix));
   RunToDone(client, fresh);
   EXPECT_EQ(incremental, Report(client, fresh));
+}
+
+// A live session's superseded extension versions are released as soon as
+// the next run interns its successor: over many mutate→run rounds the
+// registry holds no more canonical extensions than the session has
+// relations, instead of one more per round until FIFO eviction.
+TEST(MutationWatchTest, MutateRunRoundsDoNotAccumulateRegistryEntries) {
+  Server server;
+  LineClient client(&server);
+  std::string session = SetUpSession(client, "rounds");
+  RunToDone(client, session);
+  const obs::Gauge* live = obs::Registry::Default().GetGauge(
+      "dbre_extension_registry_live_entries");
+  constexpr int64_t kRelations = 2;
+  for (int round = 0; round < 50; ++round) {
+    Json mutate = Command("mutate", session);
+    mutate.Set("sql", Json::Str("UPDATE emp SET dept = " +
+                                std::to_string(100 + round) +
+                                " WHERE id = 4;"));
+    client.MustCall(std::move(mutate));
+    RunToDone(client, session);
+    ASSERT_LE(live->value(), kRelations) << "round " << round;
+    Json stats = client.MustCall(Command("stats"));
+    const Json* cache = stats.Find("extension_cache");
+    ASSERT_NE(cache, nullptr);
+    ASSERT_LE(cache->GetInt("entries"), kRelations) << "round " << round;
+  }
 }
 
 // Crash-shaped recovery: a data-dir server journals loads, runs and
