@@ -11,6 +11,7 @@
 
 #include "core/pipeline.h"
 #include "workload/paper_example.h"
+#include "support/table_rows.h"
 
 int main() {
   auto with_dictionary = dbre::workload::BuildPaperDatabase();
@@ -35,8 +36,8 @@ int main() {
       }
     }
     dbre::Table copy(std::move(schema));
-    for (const dbre::ValueVector& row : table.rows()) {
-      copy.InsertUnchecked(row);
+    for (const dbre::ValueVector& row : dbre::Rows(table)) {
+      dbre::InsertOrDie(&copy, row);
     }
     if (!stripped.AddTable(std::move(copy)).ok()) {
       std::fprintf(stderr, "table rebuild failed\n");

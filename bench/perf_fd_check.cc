@@ -10,6 +10,8 @@
 
 #include "deps/partition.h"
 #include "relational/algebra.h"
+#include "support/naive_algebra.h"
+#include "support/table_rows.h"
 
 namespace {
 
@@ -28,7 +30,7 @@ const dbre::Table& CachedTable(size_t rows) {
     for (size_t i = 0; i < rows; ++i) {
       int64_t a = static_cast<int64_t>(rng() % (rows / 10 + 1));
       // a → b holds; a → c fails.
-      table->InsertUnchecked({dbre::Value::Int(a),
+      dbre::InsertOrDie(table.get(), {dbre::Value::Int(a),
                               dbre::Value::Int(a * 7 % 1000),
                               dbre::Value::Int(static_cast<int64_t>(rng()))});
     }
@@ -77,7 +79,7 @@ void BM_FdCheckEncodedCold(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     dbre::Table cold(table.schema());
-    for (const auto& row : table.rows()) cold.InsertUnchecked(row);
+    for (const auto& row : dbre::Rows(table)) dbre::InsertOrDie(&cold, row);
     state.ResumeTiming();
     auto holds = dbre::FunctionalDependencyHolds(
         cold, dbre::AttributeSet{"a"}, dbre::AttributeSet{"b"});

@@ -10,6 +10,8 @@
 
 #include "core/ind_discovery.h"
 #include "workload/generator.h"
+#include "support/naive_algebra.h"
+#include "support/table_rows.h"
 
 namespace {
 
@@ -93,7 +95,9 @@ void BM_JoinCountsEncoded(benchmark::State& state) {
     for (const std::string& name : working.RelationNames()) {
       dbre::Table* table = *working.GetMutableTable(name);
       dbre::Table rebuilt(table->schema());
-      for (const auto& row : table->rows()) rebuilt.InsertUnchecked(row);
+      for (const auto& row : dbre::Rows(*table)) {
+        dbre::InsertOrDie(&rebuilt, row);
+      }
       *table = std::move(rebuilt);
     }
     state.ResumeTiming();

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "deps/key_miner.h"
+#include "support/table_rows.h"
 
 namespace {
 
@@ -37,7 +38,7 @@ const dbre::Table& CachedTable(size_t rows, size_t extra_columns) {
         row.push_back(
             dbre::Value::Int(static_cast<int64_t>(rng() % (10 + c))));
       }
-      table->InsertUnchecked(std::move(row));
+      dbre::InsertOrDie(table.get(), std::move(row));
     }
     it = cache.emplace(key, std::move(table)).first;
   }

@@ -14,6 +14,7 @@
 #include "core/pipeline.h"
 #include "sql/dml.h"
 #include "workload/generator.h"
+#include "support/table_rows.h"
 
 namespace {
 
@@ -261,7 +262,7 @@ void BM_FullRediscoveryAfterMutation(benchmark::State& state) {
       (void)(*mutated.GetTable(name))
           ->ForEachRow([&fresh](const dbre::ValueVector& row) {
             dbre::ValueVector copy = row;
-            fresh.InsertUnchecked(std::move(copy));
+            dbre::InsertOrDie(&fresh, std::move(copy));
           });
       (void)cold.AddTable(std::move(fresh));
     }

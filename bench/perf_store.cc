@@ -34,6 +34,7 @@
 #include "service/json.h"
 #include "store/journal.h"
 #include "store/snapshot.h"
+#include "support/table_rows.h"
 
 namespace {
 
@@ -85,7 +86,7 @@ Table SyntheticTable(size_t rows) {
     row.push_back(Value::Real(static_cast<double>(next() % 10000) / 16.0));
     row.push_back(next() % 7 == 0 ? Value::Null()
                                   : Value::Boolean(next() % 2 == 0));
-    table.InsertUnchecked(std::move(row));
+    dbre::InsertOrDie(&table, std::move(row));
   }
   return table;
 }
@@ -148,7 +149,7 @@ int main() {
   // Snapshot load: checksum + decode into adoptable row storage.
   double snapshot_load_s = BestOf(kIterations, [&] {
     auto loaded = dbre::store::LoadSnapshot(snap_path);
-    if (!loaded.ok() || loaded->rows->size() != kRows) std::abort();
+    if (!loaded.ok() || loaded->extension.num_rows() != kRows) std::abort();
   });
 
   // Journal append throughput at the default batching and at

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/interactive_oracle.h"
 #include "core/navigation_graph.h"
 #include "core/pipeline.h"
@@ -118,16 +119,29 @@ bool Fail(const dbre::Status& status, const char* what) {
   return false;
 }
 
+// Loads every relation's CSV concurrently on the shared pool (relations are
+// independent tables), then reports in relation order: the output is the
+// sequential loop's, up to and including the first failure.
 bool LoadCsvExtensions(const std::string& dir, dbre::Database* db) {
+  std::vector<std::string> relations;
   for (const std::string& relation : db->RelationNames()) {
-    std::string path = dir + "/" + relation + ".csv";
-    std::ifstream probe(path);
-    if (!probe.good()) continue;  // no extension file for this relation
-    probe.close();
-    auto table = db->GetMutableTable(relation);
-    auto loaded = dbre::LoadCsvFile(path, *table);
-    if (!loaded.ok()) return Fail(loaded.status(), path.c_str());
-    std::printf("loaded %zu tuples into %s\n", *loaded, relation.c_str());
+    std::ifstream probe(dir + "/" + relation + ".csv");
+    if (probe.good()) relations.push_back(relation);
+  }
+  std::vector<dbre::Result<size_t>> loaded(
+      relations.size(), dbre::Result<size_t>(size_t{0}));
+  dbre::ParallelFor(relations.size(), 0, [&](size_t i) {
+    auto table = db->GetMutableTable(relations[i]);
+    loaded[i] = table.ok() ? dbre::LoadCsvFile(dir + "/" + relations[i] +
+                                                   ".csv",
+                                               *table)
+                           : dbre::Result<size_t>(table.status());
+  });
+  for (size_t i = 0; i < relations.size(); ++i) {
+    const std::string path = dir + "/" + relations[i] + ".csv";
+    if (!loaded[i].ok()) return Fail(loaded[i].status(), path.c_str());
+    std::printf("loaded %zu tuples into %s\n", *loaded[i],
+                relations[i].c_str());
   }
   return true;
 }

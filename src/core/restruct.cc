@@ -63,9 +63,10 @@ Result<std::vector<uint32_t>> DictionaryRanks(const EncodedTable& encoded,
 // memoized NULL-skipping partition on `columns[0, key_width)`, taken from
 // the group's first row — so rows conflicting under an expert-enforced FD
 // resolve first-wins — and projected on `columns`, in ascending order of
-// the key's values. Groups are ordered by dictionary ranks; only the
-// representative rows are decoded, in row order (page-local when paged).
-Result<std::shared_ptr<std::vector<ValueVector>>> GatherRepresentatives(
+// the key's values. Groups are ordered by dictionary ranks; the
+// representatives' codes are gathered (in row order, page-local when
+// paged) and only the dictionary entries they use are copied.
+Result<EncodedTable> GatherRepresentatives(
     const Table& source, const std::vector<size_t>& columns,
     size_t key_width) {
   DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
@@ -107,26 +108,18 @@ Result<std::shared_ptr<std::vector<ValueVector>>> GatherRepresentatives(
     for (uint32_t g : order) sorted[next[digit[g]]++] = g;
     order.swap(sorted);
   }
-  std::vector<uint32_t> slot(groups);
-  for (uint32_t i = 0; i < groups; ++i) slot[order[i]] = i;
-
-  auto rows = std::make_shared<std::vector<ValueVector>>(groups);
-  EncodedTable::RowReader reader =
-      encoded.row_reader(std::vector<size_t>(columns));
-  for (size_t g = 0; g < groups; ++g) {
-    reader.Read(representatives[g], &(*rows)[slot[g]]);
-  }
-  return rows;
+  std::vector<uint32_t> rows(groups);
+  for (uint32_t i = 0; i < groups; ++i) rows[i] = representatives[order[i]];
+  return encoded.Gather(columns, rows);
 }
 
 // Creates R_p with attributes `attributes` (types copied from `source`),
-// key `key`, and extension `rows` (gathered from `source`'s columns, so
-// already well-typed and NULL-free on the key).
+// key `key`, and `extension` (gathered from `source`'s columns, so already
+// well-typed and NULL-free on the key).
 Status CreateRelationFrom(Database* database, const std::string& name,
                           const Table& source,
                           const std::vector<std::string>& attributes,
-                          const AttributeSet& key,
-                          std::shared_ptr<std::vector<ValueVector>> rows) {
+                          const AttributeSet& key, EncodedTable extension) {
   RelationSchema schema(name);
   for (const std::string& attribute : attributes) {
     DBRE_ASSIGN_OR_RETURN(DataType type,
@@ -135,7 +128,7 @@ Status CreateRelationFrom(Database* database, const std::string& name,
   }
   DBRE_RETURN_IF_ERROR(schema.DeclareUnique(key));
   Table table(std::move(schema));
-  DBRE_RETURN_IF_ERROR(table.AdoptExtension(std::move(rows)));
+  DBRE_RETURN_IF_ERROR(table.AdoptExtension(std::move(extension)));
   return database->AddTable(std::move(table));
 }
 
@@ -166,11 +159,11 @@ Result<RestructResult> Restruct(const Database& database,
     DBRE_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
                           source->ProjectionIndexes(h.attributes));
     DBRE_ASSIGN_OR_RETURN(
-        std::shared_ptr<std::vector<ValueVector>> rows,
+        EncodedTable extension,
         GatherRepresentatives(*source, indexes, indexes.size()));
     DBRE_RETURN_IF_ERROR(CreateRelationFrom(
         &result.database, name, *source, h.attributes.names(), h.attributes,
-        std::move(rows)));
+        std::move(extension)));
     result.provenance[name] = "hidden object " + h.ToString();
 
     // Add R_i[A_i] ≪ R_p[A_i]; rewrite other occurrences of R_i[⊆A_i].
@@ -218,11 +211,11 @@ Result<RestructResult> Restruct(const Database& database,
         std::vector<size_t> all_indexes,
         OrderedProjectionIndexes(*source, attribute_order));
     DBRE_ASSIGN_OR_RETURN(
-        std::shared_ptr<std::vector<ValueVector>> rows,
+        EncodedTable extension,
         GatherRepresentatives(*source, all_indexes, fd.lhs.size()));
     DBRE_RETURN_IF_ERROR(CreateRelationFrom(&result.database, name, *source,
                                             attribute_order, fd.lhs,
-                                            std::move(rows)));
+                                            std::move(extension)));
     result.provenance[name] = "FD " + fd.ToString();
     moved_here = moved_here.Union(fd.rhs);
 

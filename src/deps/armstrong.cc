@@ -42,7 +42,7 @@ Result<Table> BuildArmstrongRelation(
   Table table(std::move(schema));
 
   // Base tuple: all zeros.
-  table.InsertUnchecked(ValueVector(k, Value::Int(0)));
+  DBRE_RETURN_IF_ERROR(table.Insert(ValueVector(k, Value::Int(0))));
   // One tuple per proper closed set C: agrees with the base exactly on C.
   int64_t tuple_index = 1;
   for (const AttributeSet& c : closed) {
@@ -56,7 +56,7 @@ Result<Table> BuildArmstrongRelation(
                                  static_cast<int64_t>(i) + 1));
       }
     }
-    table.InsertUnchecked(std::move(row));
+    DBRE_RETURN_IF_ERROR(table.Insert(std::move(row)));
     ++tuple_index;
   }
   return table;

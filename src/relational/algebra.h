@@ -77,36 +77,6 @@ Result<double> FunctionalDependencyError(const Table& table,
                                          const AttributeSet& lhs,
                                          const AttributeSet& rhs);
 
-// Reference row-at-a-time implementations of the primitives above. The
-// production entry points run over the dictionary-encoded columns and the
-// per-table query cache (relational/query_cache.h); these naive variants
-// materialize and hash a ValueVector per row. They exist for the
-// encoded-vs-naive crosscheck tests and benchmarks — both families must
-// agree on every input.
-namespace naive {
-
-Result<ValueVectorSet> OrderedDistinctProjection(
-    const Table& table, const std::vector<std::string>& attributes);
-
-Result<JoinCounts> ComputeJoinCounts(const Database& database,
-                                     const EquiJoin& join);
-
-Result<bool> InclusionHolds(const Database& database,
-                            const std::string& lhs_relation,
-                            const std::vector<std::string>& lhs_attributes,
-                            const std::string& rhs_relation,
-                            const std::vector<std::string>& rhs_attributes);
-
-Result<bool> FunctionalDependencyHolds(const Table& table,
-                                       const AttributeSet& lhs,
-                                       const AttributeSet& rhs);
-
-Result<double> FunctionalDependencyError(const Table& table,
-                                         const AttributeSet& lhs,
-                                         const AttributeSet& rhs);
-
-}  // namespace naive
-
 }  // namespace dbre
 
 #endif  // DBRE_RELATIONAL_ALGEBRA_H_

@@ -17,13 +17,17 @@
 namespace dbre {
 
 // Parses `csv_text` and appends the rows to `table` (which provides the
-// schema and value types). Returns the number of rows loaded.
+// schema and value types). Returns the number of rows loaded. Records are
+// validated in row order and the first error wins; the rows before the
+// failing record stay appended.
 Result<size_t> LoadCsvText(std::string_view csv_text, Table* table);
 
 // Reads `path` and appends its rows to `table`.
 Result<size_t> LoadCsvFile(const std::string& path, Table* table);
 
-// Renders `table` (header + all rows) as CSV text.
+// Renders `table` (header + all rows) as CSV text. Every cell reads back
+// as the value it holds; doubles print as Value::ToString does when that
+// round-trips bit-identically, and in their shortest exact form otherwise.
 std::string WriteCsvText(const Table& table);
 
 // Writes `table` to `path`, replacing any existing file.

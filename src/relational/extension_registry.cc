@@ -86,11 +86,17 @@ uint64_t ExtensionRegistry::ComputeFingerprint(const Table& table) {
     fnv.Byte(static_cast<unsigned char>(attribute.type));
   }
   fnv.U64(table.num_rows());
-  for (const ValueVector& row : table.rows()) {
-    for (const Value& value : row) {
-      if (value.is_null()) {
+  const EncodedTable& encoded = table.extension();
+  const size_t arity = encoded.num_columns();
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < arity; ++c) {
+      const uint32_t code = encoded.codes(c)[r];
+      if (code == EncodedTable::kNullCode) {
         fnv.Byte(0);
-      } else if (value.is_int()) {
+        continue;
+      }
+      const Value& value = encoded.Decode(c, code);
+      if (value.is_int()) {
         fnv.Byte(1);
         fnv.U64(static_cast<uint64_t>(value.as_int()));
       } else if (value.is_real()) {

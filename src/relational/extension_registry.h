@@ -2,16 +2,16 @@
 //
 // Many dbred sessions reverse-engineer the same legacy database: each one
 // loads the same DDL and the same CSV extensions into its own catalog. The
-// expensive artifacts — the copy-on-write row storage, the dictionary
-// encodings and every memoized partition in the `QueryCache` — depend only
+// expensive artifacts — the dictionary-coded columns and every memoized
+// partition in the `QueryCache` — depend only
 // on the extension's content, so the registry interns tables by a content
 // fingerprint: the first session to load an extension donates its storage
 // and cache, and every later identical load adopts them via
-// `Table::AdoptSharedExtension` (one shared_ptr swap; the rows just loaded
+// `Table::AdoptSharedExtension` (shared_ptr swaps; the columns just loaded
 // are freed). Partitions computed by any session's pipeline then serve all
 // of them.
 //
-// Thread safe; entries are cheap (a Table copy shares rows and cache) and
+// Thread safe; entries are cheap (a Table copy shares columns and cache) and
 // bounded by `max_entries` with FIFO eviction — eviction only drops the
 // registry's reference, never a live session's.
 #ifndef DBRE_RELATIONAL_EXTENSION_REGISTRY_H_
@@ -76,7 +76,7 @@ class ExtensionRegistry {
   // The canonical copy's query cache is the sharing token — Intern
   // materializes it before donating and every adopter holds the same
   // shared_ptr — so a use count of one means the last referencing session
-  // closed and the storage (rows, dictionaries, memoized partitions,
+  // closed and the storage (codes, dictionaries, memoized partitions,
   // paged-source handle) can be returned. Called by the session manager
   // after each session close; returns the number of entries released. The
   // dbre_extension_registry_{live_entries,resident_bytes} gauges track the

@@ -94,13 +94,10 @@ class GroupTable {
 }  // namespace
 
 std::unique_ptr<QueryCache> QueryCache::BuildDelta(
-    QueryCache& base, size_t base_rows,
-    std::shared_ptr<const std::vector<ValueVector>> rows,
-    std::vector<DataType> types,
+    QueryCache& base, size_t base_rows, EncodedTable encoded,
     const std::vector<size_t>& updated_columns) {
   static const HitMiss counters = CacheCounters("delta_build");
-  auto cache = std::make_unique<QueryCache>(
-      EncodedTable(std::move(rows), std::move(types)));
+  auto cache = std::make_unique<QueryCache>(std::move(encoded));
   const size_t new_rows = cache->encoded_.num_rows();
   const auto touched = [&updated_columns](size_t c) {
     return std::binary_search(updated_columns.begin(), updated_columns.end(),
@@ -108,18 +105,12 @@ std::unique_ptr<QueryCache> QueryCache::BuildDelta(
   };
   std::lock_guard<std::mutex> lock(base.mutex_);
   if (base.encoded_.paged() || new_rows < base_rows) {
-    // Nothing reusable: a paged base has no in-memory codes to extend, and
-    // a shrunk extension invalidates row-positional state wholesale. The
-    // fresh cache encodes cold on demand.
+    // Nothing reusable: a paged base's memos describe another backing, and
+    // a shrunk extension invalidates row-positional state wholesale.
     counters.Count(false);
     return cache;
   }
   counters.Count(true);
-  for (size_t c = 0; c < cache->encoded_.num_columns(); ++c) {
-    if (touched(c) || c >= base.encoded_.num_columns()) continue;
-    if (!base.encoded_.column_ready(c)) continue;
-    cache->encoded_.ExtendColumnFrom(base.encoded_, c, base_rows);
-  }
   if (new_rows != base_rows) return cache;
   // Pure in-place update: row count and untouched columns are unchanged,
   // so every memo keyed only by untouched columns is still exact. (With

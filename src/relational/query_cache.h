@@ -23,12 +23,13 @@
 // dictionary against the other's memoized `ValueSet` (see DictionarySet).
 //
 // Thread safety: all entry points may be called concurrently; a single
-// internal mutex guards the memo tables and the lazy column encoder
-// (queries are per-projection, not per-row, so contention is negligible).
-// Reading encoded() directly is safe only for columns passed through a
-// locked ensure first (EnsureEncoded or any query over them). The cache
-// must not outlive a mutation of its source table — `Table::query_cache()`
-// enforces that by dropping the cache on every mutation.
+// internal mutex guards the memo tables and the lazy paged dictionary
+// loads (queries are per-projection, not per-row, so contention is
+// negligible). Reading encoded() directly is safe only for columns passed
+// through a locked ensure first (EnsureEncoded or any query over them). The
+// cache shares its table's columns, which writers copy before touching
+// while shared, so a cache never sees its source change; `Table::
+// query_cache()` drops the cache on every mutation.
 #ifndef DBRE_RELATIONAL_QUERY_CACHE_H_
 #define DBRE_RELATIONAL_QUERY_CACHE_H_
 
@@ -123,27 +124,26 @@ class QueryCache {
   QueryCache& operator=(const QueryCache&) = delete;
 
   // Builds a cache over a mutated extension by reusing `base`'s work
-  // instead of starting cold. `rows` is the mutated storage whose first
-  // `base_rows` rows are byte-identical to base's on every column NOT in
+  // instead of starting cold. `encoded` is the mutated extension whose
+  // first `base_rows` rows are identical to base's on every column NOT in
   // `updated_columns` (sorted schema indexes of in-place updated columns).
-  // Ready base encodings of untouched columns are extended over the
-  // appended suffix (EncodedTable::ExtendColumnFrom); when no rows were
-  // appended, memoized partitions/sets/sketches whose column sets avoid
-  // `updated_columns` carry over as shared pointers. The cross-table join
-  // memo never carries over (its keys are peer cache identities). Every
-  // observable answer of the returned cache is byte-identical to a cold
-  // build over `rows` — the incremental path's correctness hinge, proven
-  // by the table_mutation and incremental suites.
+  // The extension already carries its own codes, so only memos move: when
+  // no rows were appended, memoized partitions/sets/sketches/FD verdicts
+  // whose column sets avoid `updated_columns` carry over as shared
+  // pointers. The cross-table join memo never carries over (its keys are
+  // peer cache identities). Every observable answer of the returned cache
+  // is byte-identical to a cold build over `encoded` — the incremental
+  // path's correctness hinge, proven by the table_mutation and incremental
+  // suites.
   static std::unique_ptr<QueryCache> BuildDelta(
-      QueryCache& base, size_t base_rows,
-      std::shared_ptr<const std::vector<ValueVector>> rows,
-      std::vector<DataType> types, const std::vector<size_t>& updated_columns);
+      QueryCache& base, size_t base_rows, EncodedTable encoded,
+      const std::vector<size_t>& updated_columns);
 
   // Readable for any column that has gone through a locked ensure (below).
   const EncodedTable& encoded() const { return encoded_; }
 
-  // Lazily encodes `columns`, after which encoded()'s code arrays and
-  // dictionaries for them may be read directly.
+  // Readies `columns` (paged dictionaries load lazily), after which
+  // encoded()'s code arrays and dictionaries for them may be read directly.
   void EnsureEncoded(const std::vector<size_t>& columns);
 
   // Whether column `column` holds any NULL cell.
@@ -241,7 +241,7 @@ class QueryCache {
   double ComputeFdError(const std::vector<size_t>& lhs_columns,
                         const std::vector<size_t>& rhs_columns);
 
-  EncodedTable encoded_;  // columns encode lazily under mutex_
+  EncodedTable encoded_;  // paged columns ready lazily under mutex_
   std::mutex mutex_;
   std::map<PartitionKey, std::shared_ptr<const CodePartition>> partitions_;
   std::map<std::vector<size_t>, std::shared_ptr<const ValueVectorSet>>

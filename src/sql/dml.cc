@@ -43,7 +43,7 @@ struct SimplePredicate {
 };
 
 bool PredicateMatches(const SimplePredicate& predicate,
-                      const ValueVector& row) {
+                      const EncodedTable::RowView& row) {
   const Value& cell = row[predicate.column];
   switch (predicate.op) {
     case Op::kIsNull:
@@ -75,7 +75,7 @@ bool PredicateMatches(const SimplePredicate& predicate,
 }
 
 bool ConjunctionMatches(const std::vector<SimplePredicate>& where,
-                        const ValueVector& row) {
+                        const EncodedTable::RowView& row) {
   for (const SimplePredicate& predicate : where) {
     if (!PredicateMatches(predicate, row)) return false;
   }
@@ -376,13 +376,12 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
   DmlParser parser(std::move(tokens), database);
   DBRE_ASSIGN_OR_RETURN(std::vector<Statement> statements, parser.Run());
 
-  // Materialize every paged target up front: content-preserving, so a
-  // failure here leaves the catalog logically unchanged and the script
-  // unapplied. Mutations never write through the buffer pool.
+  // Copy every paged target's codes into memory up front: content-
+  // preserving, so a failure here leaves the catalog logically unchanged
+  // and the script unapplied. Mutations never write through the buffer
+  // pool.
   for (Statement& statement : statements) {
-    if (statement.table->is_paged()) {
-      DBRE_RETURN_IF_ERROR(statement.table->EnsureMaterialized());
-    }
+    DBRE_RETURN_IF_ERROR(statement.table->MakeResident());
   }
 
   DmlStats stats;
@@ -403,7 +402,7 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
             size_t updated,
             statement.table->UpdateRows(
                 statement.set_columns, statement.set_values,
-                [&where](const ValueVector& row) {
+                [&where](const EncodedTable::RowView& row) {
                   return ConjunctionMatches(where, row);
                 }));
         mutation->updated += updated;
@@ -423,9 +422,10 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
         const std::vector<SimplePredicate>& where = statement.where;
         DBRE_ASSIGN_OR_RETURN(
             size_t deleted,
-            statement.table->DeleteRows([&where](const ValueVector& row) {
-              return ConjunctionMatches(where, row);
-            }));
+            statement.table->DeleteRows(
+                [&where](const EncodedTable::RowView& row) {
+                  return ConjunctionMatches(where, row);
+                }));
         mutation->deleted += deleted;
         stats.rows_deleted += deleted;
         if (deleted > 0) mutation->structural = true;

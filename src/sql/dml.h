@@ -18,8 +18,9 @@
 // (unknown tables/columns, literal types against declared types, NULL into
 // not-null attributes are all parse errors), then applies — so a journaled
 // script is exactly what mutated the catalog, never a prefix. Paged
-// (read-only) target tables are materialized before the first mutation
-// touches them; mutations never write through the buffer pool.
+// (read-only) target tables are made resident (their codes copied into
+// memory) before the first mutation touches them; mutations never write
+// through the buffer pool.
 #ifndef DBRE_SQL_DML_H_
 #define DBRE_SQL_DML_H_
 

@@ -39,16 +39,20 @@ Ternary Not(Ternary a) {
   return Ternary::kUnknown;
 }
 
-// One table instance of a FROM clause with its current row. Paged tables
-// have no materialized rows: the odometer decodes the current row into
-// `paged_row` through the query cache's RowReader instead.
+// One table instance of a FROM clause with its current row, decoded into
+// `decoded` through the query cache's RowReader (in either backing).
 struct Binding {
   const TableRef* ref = nullptr;
   const Table* table = nullptr;
   const ValueVector* row = nullptr;
-  std::shared_ptr<QueryCache> paged_cache;
-  std::unique_ptr<EncodedTable::RowReader> paged_reader;
-  ValueVector paged_row;
+  std::shared_ptr<QueryCache> cache;
+  std::unique_ptr<EncodedTable::RowReader> reader;
+  ValueVector decoded;
+
+  void Bind(size_t index) {
+    reader->Read(index, &decoded);
+    row = &decoded;
+  }
 };
 
 using Frame = std::vector<Binding>;
@@ -554,16 +558,14 @@ class Evaluator {
       Binding binding;
       binding.ref = &ref;
       binding.table = table;
-      if (table->is_paged()) {
-        DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
-                              table->query_cache());
-        std::vector<size_t> columns(table->schema().arity());
-        std::iota(columns.begin(), columns.end(), size_t{0});
-        cache->EnsureEncoded(columns);
-        binding.paged_reader = std::make_unique<EncodedTable::RowReader>(
-            cache->encoded().row_reader(std::move(columns)));
-        binding.paged_cache = std::move(cache);
-      }
+      DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
+                            table->query_cache());
+      std::vector<size_t> columns(table->schema().arity());
+      std::iota(columns.begin(), columns.end(), size_t{0});
+      cache->EnsureEncoded(columns);
+      binding.reader = std::make_unique<EncodedTable::RowReader>(
+          cache->encoded().row_reader(std::move(columns)));
+      binding.cache = std::move(cache);
       frame.push_back(std::move(binding));
     }
     env_.push_back(&frame);
@@ -603,15 +605,7 @@ class Evaluator {
         if (binding.table->num_rows() == 0) exhausted = true;
       }
       while (!exhausted) {
-        for (size_t i = 0; i < frame.size(); ++i) {
-          Binding& binding = frame[i];
-          if (binding.paged_reader != nullptr) {
-            binding.paged_reader->Read(cursor[i], &binding.paged_row);
-            binding.row = &binding.paged_row;
-          } else {
-            binding.row = &binding.table->row(cursor[i]);
-          }
-        }
+        for (size_t i = 0; i < frame.size(); ++i) frame[i].Bind(cursor[i]);
         // Evaluate the ON conditions and the WHERE clause.
         Ternary keep = Ternary::kTrue;
         for (const auto& condition : statement.join_conditions) {
@@ -794,7 +788,7 @@ class Evaluator {
         const size_t n =
             batch::SelectTrue(truth.data(), count, start, selected.data());
         for (size_t i = 0; i < n; ++i) {
-          frame[0].row = &table->row(selected[i]);
+          frame[0].Bind(selected[i]);
           Status status = project();
           if (!status.ok()) return status;
         }
@@ -851,10 +845,10 @@ class Evaluator {
       batch::AddKernelRows(batch::Kernel::kJoin, n);
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r0 = selected[i];
-        frame[0].row = &left_table->row(r0);
+        frame[0].Bind(r0);
         if (join_keys.empty()) {
           for (uint32_t r1 : cross_rows) {
-            frame[1].row = &right_table->row(r1);
+            frame[1].Bind(r1);
             Status status = project();
             if (!status.ok()) return status;
           }
@@ -888,7 +882,7 @@ class Evaluator {
             }
           }
           if (!match) continue;
-          frame[1].row = &right_table->row(r1);
+          frame[1].Bind(r1);
           Status status = project();
           if (!status.ok()) return status;
         }

@@ -25,7 +25,8 @@
 // and reported as a structured error instead of garbage rows. Writes go
 // through a temp file + fsync + rename, so a crashed writer never leaves a
 // half-visible snapshot. The loader mmaps the file when it can (falling
-// back to a buffered read) and decodes straight into row storage.
+// back to a buffered read) and adopts the pages' codes and dictionaries as
+// the in-memory encoding.
 #ifndef DBRE_STORE_SNAPSHOT_H_
 #define DBRE_STORE_SNAPSHOT_H_
 
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "relational/encoded_table.h"
 #include "relational/schema.h"
 #include "relational/table.h"
 
@@ -50,13 +52,13 @@ struct SnapshotInfo {
   uint64_t file_bytes = 0;
 };
 
-// A decoded snapshot: the schema and free-standing row storage, ready for
+// A decoded snapshot: the schema and the encoded extension, ready for
 // Table::AdoptExtension. `fingerprint` comes from the verified footer, so
 // the caller can intern without re-hashing (ExtensionRegistry::
 // InternPrecomputed).
 struct LoadedSnapshot {
   RelationSchema schema;
-  std::shared_ptr<std::vector<ValueVector>> rows;
+  EncodedTable extension;
   uint64_t fingerprint = 0;
 };
 
@@ -71,7 +73,7 @@ Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
 // Decodes `path` fully, verifying every checksum. A mismatch anywhere —
 // header, schema, any column page, footer — fails with a structured error
-// naming the corrupt section; it never returns partial rows.
+// naming the corrupt section; it never returns a partial extension.
 Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace dbre::store

@@ -5,6 +5,7 @@
 #include "core/pipeline.h"
 #include "relational/algebra.h"
 #include "workload/library_example.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -15,7 +16,7 @@ Table MakeTable(const std::vector<std::pair<int64_t, int64_t>>& rows) {
   EXPECT_TRUE(schema.AddAttribute("b", DataType::kInt64).ok());
   Table table(std::move(schema));
   for (const auto& [a, b] : rows) {
-    table.InsertUnchecked({Value::Int(a), Value::Int(b)});
+    EXPECT_TRUE(table.Insert({Value::Int(a), Value::Int(b)}).ok());
   }
   return table;
 }
@@ -51,9 +52,9 @@ TEST(FdErrorTest, NullLhsExcluded) {
   ASSERT_TRUE(schema.AddAttribute("a", DataType::kInt64).ok());
   ASSERT_TRUE(schema.AddAttribute("b", DataType::kInt64).ok());
   Table table(std::move(schema));
-  table.InsertUnchecked({Value::Null(), Value::Int(1)});
-  table.InsertUnchecked({Value::Null(), Value::Int(2)});
-  table.InsertUnchecked({Value::Int(1), Value::Int(3)});
+  EXPECT_TRUE(table.Insert({Value::Null(), Value::Int(1)}).ok());
+  EXPECT_TRUE(table.Insert({Value::Null(), Value::Int(2)}).ok());
+  EXPECT_TRUE(table.Insert({Value::Int(1), Value::Int(3)}).ok());
   auto error = FunctionalDependencyError(table, AttributeSet{"a"},
                                          AttributeSet{"b"});
   ASSERT_TRUE(error.ok());

@@ -20,6 +20,7 @@
 #include "relational/sketch.h"
 #include "sql/dml.h"
 #include "workload/generator.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -58,7 +59,7 @@ Database ColdRebuild(const Database& database) {
     Table fresh((*table)->schema());
     Status streamed = (*table)->ForEachRow([&](const ValueVector& row) {
       ValueVector copy = row;
-      fresh.InsertUnchecked(std::move(copy));
+      EXPECT_TRUE(fresh.Insert(std::move(copy)).ok());
     });
     EXPECT_TRUE(streamed.ok()) << streamed.ToString();
     EXPECT_TRUE(cold.AddTable(std::move(fresh)).ok());
@@ -113,7 +114,7 @@ std::string InsertScript(const Database& database, const std::string& name,
 // roughly half the extension.
 int64_t MedianInt(const Table& table, size_t column) {
   std::vector<int64_t> values;
-  for (const ValueVector& row : table.rows()) {
+  for (const ValueVector& row : Rows(table)) {
     if (row[column].is_int()) values.push_back(row[column].as_int());
   }
   if (values.empty()) return 0;

@@ -6,6 +6,7 @@
 #include "core/translate.h"
 #include "support/restruct_reference.h"
 #include "workload/generator.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -172,9 +173,9 @@ TEST(RestructCrosscheckTest, ConflictingRowsResolveFirstWins) {
   const Table& split = **result->database.GetTable("Sales_a");
   ASSERT_EQ(split.num_rows(), 3u);
   // Rows sort by a; i = 3, 1, 2 are the first witnesses of a = 0, 1, 2.
-  EXPECT_EQ(split.row(0), (ValueVector{Value::Int(0), Value::Text("p1")}));
-  EXPECT_EQ(split.row(1), (ValueVector{Value::Int(1), Value::Text("p11")}));
-  EXPECT_EQ(split.row(2), (ValueVector{Value::Int(2), Value::Text("p20")}));
+  EXPECT_EQ(Rows(split)[0], (ValueVector{Value::Int(0), Value::Text("p1")}));
+  EXPECT_EQ(Rows(split)[1], (ValueVector{Value::Int(1), Value::Text("p11")}));
+  EXPECT_EQ(Rows(split)[2], (ValueVector{Value::Int(2), Value::Text("p20")}));
 }
 
 TEST(RestructCrosscheckTest, NullLhsRowsAreSkipped) {
@@ -225,17 +226,19 @@ TEST(RestructCrosscheckTest, TwoFdsOnOneRelationDropTogether) {
   EXPECT_EQ(orders.schema().AttributeNames(),
             (AttributeSet{"id", "cust", "rate", "note"}));
   EXPECT_EQ(orders.num_rows(), 400u);
-  EXPECT_EQ(orders.row(0).size(), 4u);
+  EXPECT_EQ(Rows(orders)[0].size(), 4u);
 }
 
 TEST(RestructCrosscheckTest, MistypedCellsSortLikeValues) {
-  // A cell whose tag disagrees with the declared type defeats the typed
-  // dictionary; ranks then come from Value order on both sides.
+  // A cell whose tag disagrees with the declared type never reaches an
+  // extension — Insert refuses it, so every dictionary is typed — and
+  // ranks come from Value order on both sides.
   Database db = MakeMixedDb();
   Table* orders = *db.GetMutableTable("Orders");
-  orders->InsertUnchecked({Value::Int(401), Value::Text("x"),
-                           Value::Text("c1"), Value::Real(0.0),
-                           Value::Boolean(true), Value::Text("n1")});
+  EXPECT_FALSE(orders->Insert({Value::Int(401), Value::Text("x"),
+                               Value::Text("c1"), Value::Real(0.0),
+                               Value::Boolean(true), Value::Text("n1")})
+                   .ok());
   ExpectMatchesReference(
       db, {FunctionalDependency("Orders", {"cust"}, {"city"})},
       {QualifiedAttributes{"Orders", AttributeSet{"cust"}}});
@@ -253,7 +256,7 @@ TEST(RestructCrosscheckTest, InPlaceUpdateOfWarmKey) {
           .ok());
   auto updated = orders->UpdateRows(
       {1}, {Value::Int(1000)},
-      [](const ValueVector& row) { return row[0].as_int() <= 5; });
+      [](const EncodedTable::RowView& row) { return row[0].as_int() <= 5; });
   ASSERT_TRUE(updated.ok()) << updated.status();
   ASSERT_EQ(*updated, 5u);
   ExpectMatchesReference(

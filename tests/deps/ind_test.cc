@@ -1,4 +1,5 @@
 #include "deps/ind.h"
+#include "support/table_rows.h"
 
 #include <gtest/gtest.h>
 
@@ -28,15 +29,15 @@ TEST(IndTest, SatisfiesQueriesExtension) {
   RelationSchema r("R");
   ASSERT_TRUE(r.AddAttribute("a", DataType::kInt64).ok());
   Table tr(std::move(r));
-  tr.InsertUnchecked({Value::Int(1)});
-  tr.InsertUnchecked({Value::Int(2)});
+  EXPECT_TRUE(tr.Insert({Value::Int(1)}).ok());
+  EXPECT_TRUE(tr.Insert({Value::Int(2)}).ok());
   ASSERT_TRUE(db.AddTable(std::move(tr)).ok());
 
   RelationSchema s("S");
   ASSERT_TRUE(s.AddAttribute("b", DataType::kInt64).ok());
   ASSERT_TRUE(s.DeclareUnique({"b"}).ok());
   Table ts(std::move(s));
-  for (int64_t v : {1, 2, 3}) ts.InsertUnchecked({Value::Int(v)});
+  for (int64_t v : {1, 2, 3}) EXPECT_TRUE(ts.Insert({Value::Int(v)}).ok());
   ASSERT_TRUE(db.AddTable(std::move(ts)).ok());
 
   InclusionDependency forward = InclusionDependency::Single("R", "a", "S", "b");

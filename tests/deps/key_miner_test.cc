@@ -1,4 +1,5 @@
 #include "deps/key_miner.h"
+#include "support/table_rows.h"
 
 #include <random>
 
@@ -14,7 +15,7 @@ Table MakeTable(const std::vector<std::string>& columns,
     EXPECT_TRUE(schema.AddAttribute(column, DataType::kInt64).ok());
   }
   Table table(std::move(schema));
-  for (const auto& row : rows) table.InsertUnchecked(row);
+  for (const auto& row : rows) EXPECT_TRUE(table.Insert(row).ok());
   return table;
 }
 

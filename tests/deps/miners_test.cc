@@ -6,6 +6,7 @@
 #include "deps/ind.h"
 #include "deps/ind_miner.h"
 #include "relational/algebra.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -21,7 +22,7 @@ Table MakeTable(const std::string& name,
   for (const auto& row : rows) {
     ValueVector values;
     for (int64_t v : row) values.push_back(Value::Int(v));
-    table.InsertUnchecked(std::move(values));
+    EXPECT_TRUE(table.Insert(std::move(values)).ok());
   }
   return table;
 }
@@ -170,7 +171,7 @@ TEST(IndMinerTest, TypeCompatibilityFilters) {
   ASSERT_TRUE(a.AddAttribute("n", DataType::kInt64).ok());
   ASSERT_TRUE(a.AddAttribute("s", DataType::kString).ok());
   Table ta(std::move(a));
-  ta.InsertUnchecked({Value::Int(1), Value::Text("1")});
+  EXPECT_TRUE(ta.Insert({Value::Int(1), Value::Text("1")}).ok());
   ASSERT_TRUE(db.AddTable(std::move(ta)).ok());
   IndMinerStats stats;
   auto inds = MineUnaryInds(db, {}, &stats);

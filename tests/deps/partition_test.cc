@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "relational/algebra.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -20,7 +21,7 @@ Table MakeTable(const std::vector<std::vector<int64_t>>& rows,
   for (const auto& row : rows) {
     ValueVector values;
     for (int64_t v : row) values.push_back(Value::Int(v));
-    table.InsertUnchecked(std::move(values));
+    EXPECT_TRUE(table.Insert(std::move(values)).ok());
   }
   return table;
 }
@@ -84,9 +85,9 @@ TEST(PartitionTest, NullsGroupTogether) {
   ASSERT_TRUE(schema.AddAttribute("a", DataType::kInt64).ok());
   ASSERT_TRUE(schema.AddAttribute("b", DataType::kInt64).ok());
   Table table(std::move(schema));
-  table.InsertUnchecked({Value::Null(), Value::Int(1)});
-  table.InsertUnchecked({Value::Null(), Value::Int(1)});
-  table.InsertUnchecked({Value::Int(5), Value::Int(2)});
+  EXPECT_TRUE(table.Insert({Value::Null(), Value::Int(1)}).ok());
+  EXPECT_TRUE(table.Insert({Value::Null(), Value::Int(1)}).ok());
+  EXPECT_TRUE(table.Insert({Value::Int(5), Value::Int(2)}).ok());
   auto partition = StrippedPartition::ForColumn(table, 0);
   ASSERT_TRUE(partition.ok());
   // The two NULLs form one class (NULL-as-value semantics).

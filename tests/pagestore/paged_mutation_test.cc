@@ -1,7 +1,8 @@
 // Satellite guard of the live-mutation work (docs/INCREMENTAL.md): paged
 // extensions are read-only. A mutation against a page-backed table must
-// either fail failed_precondition (direct Table calls) or materialize-
-// then-mutate (the DML front end) — never write through the buffer pool.
+// either fail failed_precondition (direct Table calls) or copy the codes
+// into memory and mutate them (MakeResident, the DML front end) — never
+// write through the buffer pool.
 // Runs honestly small via test_pool.h: DBRE_TEST_BUFFER_POOL_MB=16 re-runs
 // the suite at the tiny-pool CI budget.
 #include <filesystem>
@@ -15,9 +16,12 @@
 #include "pagestore/paged_snapshot.h"
 #include "relational/database.h"
 #include "relational/paged_source.h"
+#include "relational/query_cache.h"
 #include "sql/dml.h"
 #include "store/snapshot.h"
 #include "test_pool.h"
+#include "support/cold_encode.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -46,8 +50,8 @@ class PagedMutationTest : public ::testing::Test {
     EXPECT_TRUE(schema.AddAttribute("label", DataType::kString).ok());
     Table table(schema);
     for (int i = 0; i < rows; ++i) {
-      table.InsertUnchecked(
-          {Value::Int(i), Value::Text("row-" + std::to_string(i % 17))});
+      EXPECT_TRUE(table.Insert(
+          {Value::Int(i), Value::Text("row-" + std::to_string(i % 17))}).ok());
     }
     return table;
   }
@@ -73,12 +77,14 @@ TEST_F(PagedMutationTest, DirectMutationsFailPrecondition) {
   MakePaged(&table);
 
   auto updated = table.UpdateRows({1}, {Value::Text("x")},
-                                  [](const ValueVector&) { return true; });
+                                  [](const EncodedTable::RowView&) {
+                                    return true;
+                                  });
   ASSERT_FALSE(updated.ok());
   EXPECT_EQ(updated.status().code(), StatusCode::kFailedPrecondition);
 
   auto deleted =
-      table.DeleteRows([](const ValueVector&) { return true; });
+      table.DeleteRows([](const EncodedTable::RowView&) { return true; });
   ASSERT_FALSE(deleted.ok());
   EXPECT_EQ(deleted.status().code(), StatusCode::kFailedPrecondition);
 
@@ -97,19 +103,19 @@ TEST_F(PagedMutationTest, EnsureMaterializedThenMutateWorks) {
   Table table = MakeTable(400);
   MakePaged(&table);
 
-  ASSERT_TRUE(table.EnsureMaterialized().ok());
+  ASSERT_TRUE(table.MakeResident().ok());
   EXPECT_FALSE(table.is_paged());
-  ASSERT_EQ(table.rows().size(), 400u);
+  ASSERT_EQ(Rows(table).size(), 400u);
 
   auto updated = table.UpdateRows(
       {1}, {Value::Text("mutated")},
-      [](const ValueVector& row) { return row[0].as_int() < 10; });
+      [](const EncodedTable::RowView& row) { return row[0].as_int() < 10; });
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 10u);
-  EXPECT_EQ(table.rows()[0][1].as_text(), "mutated");
+  EXPECT_EQ(Rows(table)[0][1].as_text(), "mutated");
 
   // Idempotent on an already-materialized table.
-  EXPECT_TRUE(table.EnsureMaterialized().ok());
+  EXPECT_TRUE(table.MakeResident().ok());
 }
 
 TEST_F(PagedMutationTest, DmlMaterializesThenMutatesPagedTargets) {
@@ -130,8 +136,8 @@ TEST_F(PagedMutationTest, DmlMaterializesThenMutatesPagedTargets) {
 
   const Table& mutated = **database.GetTable("R");
   EXPECT_FALSE(mutated.is_paged());
-  EXPECT_EQ(mutated.rows().size(), 551u);
-  EXPECT_EQ(mutated.rows()[0][1].as_text(), "rewritten");
+  EXPECT_EQ(Rows(mutated).size(), 551u);
+  EXPECT_EQ(Rows(mutated)[0][1].as_text(), "rewritten");
 
   // The mutation never wrote through the pool: re-opening the snapshot
   // yields the original extension, byte for byte.
@@ -171,6 +177,38 @@ TEST_F(PagedMutationTest, MaterializedMutantDivergesFromSnapshot) {
   size_t rows = 0;
   ASSERT_TRUE(b.ForEachRow([&](const ValueVector&) { ++rows; }).ok());
   EXPECT_EQ(rows, 300u);  // the paged sibling still reads the snapshot
+}
+
+TEST_F(PagedMutationTest, UpdateOfPagedTableKeepsCodesCanonical) {
+  // The DML front end copies the paged codes (no row is decoded) and the
+  // update renumbers the touched column: "row-16" now first appears in
+  // row 0, and "row-0" loses occurrences but keeps the ones past id 20.
+  Database database;
+  Table table = MakeTable(300);
+  MakePaged(&table);
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  auto stats = sql::ExecuteDmlScript(
+      "UPDATE R SET label = 'row-16' WHERE id < 20;", &database);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_updated, 20u);
+
+  const Table& mutated = **database.GetTable("R");
+  ASSERT_FALSE(mutated.is_paged());
+  EXPECT_EQ(mutated.extension().Decode(1, 0), Value::Text("row-16"));
+  ExpectColdEncoding(mutated);
+
+  // The same answers as a cold reload of the mutated rows.
+  Table cold(mutated.schema());
+  InsertRows(&cold, Rows(mutated));
+  auto warm_cache = mutated.query_cache();
+  auto cold_cache = cold.query_cache();
+  ASSERT_TRUE(warm_cache.ok() && cold_cache.ok());
+  EXPECT_EQ((*warm_cache)->DistinctCount({1}),
+            (*cold_cache)->DistinctCount({1}));
+  EXPECT_EQ((*warm_cache)->FdHolds({0}, {1}),
+            (*cold_cache)->FdHolds({0}, {1}));
+  EXPECT_EQ((*warm_cache)->FdHolds({1}, {0}),
+            (*cold_cache)->FdHolds({1}, {0}));
 }
 
 }  // namespace

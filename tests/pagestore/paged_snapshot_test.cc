@@ -15,6 +15,7 @@
 #include "relational/sketch.h"
 #include "relational/table.h"
 #include "store/snapshot.h"
+#include "support/table_rows.h"
 
 namespace dbre::pagestore {
 namespace {
@@ -74,7 +75,7 @@ Table MixedTable(int rows) {
     row.push_back(i % 7 == 3 ? Value::Null() : Value::Text(cities[i % 3]));
     row.push_back(Value::Real(i * 0.5));
     row.push_back(i % 5 == 0 ? Value::Null() : Value::Boolean(i % 2 == 0));
-    table.InsertUnchecked(std::move(row));
+    EXPECT_TRUE(table.Insert(std::move(row)).ok());
   }
   return table;
 }
@@ -97,7 +98,7 @@ TEST_F(PagedSnapshotTest, RoundTripsEveryCellThroughPages) {
   for (size_t c = 0; c < 4; ++c) {
     auto cursor = (*snap)->Codes(c);
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      EXPECT_EQ(DecodeCell(**snap, cursor.get(), c, r), table.row(r)[c])
+      EXPECT_EQ(DecodeCell(**snap, cursor.get(), c, r), Rows(table)[r][c])
           << "cell (" << r << ", " << c << ")";
     }
   }
@@ -167,7 +168,7 @@ TEST_F(PagedSnapshotTest, OversizedStringValuesSpanPages) {
     row.push_back(i == 7   ? Value::Null()
                   : i == 3 ? Value::Text(big_b)
                            : Value::Text(big_a + std::to_string(i % 2)));
-    table.InsertUnchecked(std::move(row));
+    EXPECT_TRUE(table.Insert(std::move(row)).ok());
   }
   ASSERT_TRUE(store::WriteSnapshot(table, Path("blobs.snap")).ok());
 
@@ -175,7 +176,7 @@ TEST_F(PagedSnapshotTest, OversizedStringValuesSpanPages) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   auto cursor = (*snap)->Codes(1);
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    EXPECT_EQ(DecodeCell(**snap, cursor.get(), 1, r), table.row(r)[1])
+    EXPECT_EQ(DecodeCell(**snap, cursor.get(), 1, r), Rows(table)[r][1])
         << "row " << r;
   }
 }

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "common/thread_pool.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -24,26 +33,26 @@ TEST(CsvTest, LoadsSimpleRows) {
   auto loaded = LoadCsvText("id,name,score\n1,alice,3.5\n2,bob,4\n", &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, 2u);
-  EXPECT_EQ(table.row(0)[0], Value::Int(1));
-  EXPECT_EQ(table.row(0)[1], Value::Text("alice"));
-  EXPECT_EQ(table.row(1)[2], Value::Real(4.0));
+  EXPECT_EQ(Rows(table)[0][0], Value::Int(1));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("alice"));
+  EXPECT_EQ(Rows(table)[1][2], Value::Real(4.0));
 }
 
 TEST(CsvTest, HeaderMayReorderColumns) {
   Table table = MakeTable();
   auto loaded = LoadCsvText("score,id,name\n1.5,7,x\n", &table);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(table.row(0)[0], Value::Int(7));
-  EXPECT_EQ(table.row(0)[2], Value::Real(1.5));
+  EXPECT_EQ(Rows(table)[0][0], Value::Int(7));
+  EXPECT_EQ(Rows(table)[0][2], Value::Real(1.5));
 }
 
 TEST(CsvTest, EmptyAndNullBecomeNull) {
   Table table = MakeTable();
   auto loaded = LoadCsvText("id,name,score\n1,,\n2,NULL,2.0\n", &table);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(table.row(0)[1].is_null());
-  EXPECT_TRUE(table.row(0)[2].is_null());
-  EXPECT_TRUE(table.row(1)[1].is_null());
+  EXPECT_TRUE(Rows(table)[0][1].is_null());
+  EXPECT_TRUE(Rows(table)[0][2].is_null());
+  EXPECT_TRUE(Rows(table)[1][1].is_null());
 }
 
 TEST(CsvTest, QuotedFieldsWithCommasAndQuotes) {
@@ -52,22 +61,22 @@ TEST(CsvTest, QuotedFieldsWithCommasAndQuotes) {
       LoadCsvText("id,name,score\n1,\"a,b\",1.0\n2,\"say \"\"hi\"\"\",2.0\n",
                   &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(table.row(0)[1], Value::Text("a,b"));
-  EXPECT_EQ(table.row(1)[1], Value::Text("say \"hi\""));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("a,b"));
+  EXPECT_EQ(Rows(table)[1][1], Value::Text("say \"hi\""));
 }
 
 TEST(CsvTest, QuotedEmptyStringIsNotNull) {
   Table table = MakeTable();
   auto loaded = LoadCsvText("id,name,score\n1,\"\",1.0\n", &table);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(table.row(0)[1], Value::Text(""));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text(""));
 }
 
 TEST(CsvTest, QuotedNewlinesSupported) {
   Table table = MakeTable();
   auto loaded = LoadCsvText("id,name,score\n1,\"two\nlines\",1.0\n", &table);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(table.row(0)[1], Value::Text("two\nlines"));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("two\nlines"));
 }
 
 TEST(CsvTest, BlankLinesSkipped) {
@@ -111,7 +120,7 @@ TEST(CsvTest, RoundTripsThroughText) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(reloaded.num_rows(), table.num_rows());
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(reloaded.row(i), table.row(i)) << "row " << i;
+    EXPECT_EQ(Rows(reloaded)[i], Rows(table)[i]) << "row " << i;
   }
 }
 
@@ -139,7 +148,7 @@ TEST(CsvTest, NullLookalikeTextRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(reloaded.num_rows(), table.num_rows());
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(reloaded.row(i), table.row(i)) << "row " << i;
+    EXPECT_EQ(Rows(reloaded)[i], Rows(table)[i]) << "row " << i;
   }
 }
 
@@ -169,8 +178,8 @@ TEST(CsvTest, QuotedFieldsNeverParseAsNull) {
   auto loaded =
       LoadCsvText("id,name,score\n1,\"NULL\",1.0\n2,\" \",2.0\n", &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(table.row(0)[1], Value::Text("NULL"));
-  EXPECT_EQ(table.row(1)[1], Value::Text(" "));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("NULL"));
+  EXPECT_EQ(Rows(table)[1][1], Value::Text(" "));
 
   Table bad = MakeTable();
   EXPECT_EQ(
@@ -184,8 +193,8 @@ TEST(CsvTest, UnquotedNullStaysNull) {
   Table table = MakeTable();
   auto loaded = LoadCsvText("id,name,score\n1,nUlL,\n", &table);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(table.row(0)[1].is_null());
-  EXPECT_TRUE(table.row(0)[2].is_null());
+  EXPECT_TRUE(Rows(table)[0][1].is_null());
+  EXPECT_TRUE(Rows(table)[0][2].is_null());
 }
 
 // Error messages must count physical lines, not records — a quoted field
@@ -239,14 +248,14 @@ TEST(CsvEdgeTest, DoubledQuotesAndQuotedVersusUnquotedEmpty) {
       &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(*loaded, 6u);
-  EXPECT_EQ(table.row(0)[1], Value::Text("a\"b"));
-  EXPECT_EQ(table.row(1)[1], Value::Text("\""));
-  EXPECT_EQ(table.row(2)[1], Value::Text(""));
-  EXPECT_TRUE(table.row(2)[2].is_null());
-  EXPECT_TRUE(table.row(3)[1].is_null());
-  EXPECT_TRUE(table.row(3)[2].is_null());
-  EXPECT_EQ(table.row(4)[1], Value::Text("abcd"));
-  EXPECT_EQ(table.row(5)[1], Value::Text("ab\"cd"));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("a\"b"));
+  EXPECT_EQ(Rows(table)[1][1], Value::Text("\""));
+  EXPECT_EQ(Rows(table)[2][1], Value::Text(""));
+  EXPECT_TRUE(Rows(table)[2][2].is_null());
+  EXPECT_TRUE(Rows(table)[3][1].is_null());
+  EXPECT_TRUE(Rows(table)[3][2].is_null());
+  EXPECT_EQ(Rows(table)[4][1], Value::Text("abcd"));
+  EXPECT_EQ(Rows(table)[5][1], Value::Text("ab\"cd"));
 
   // A quoted empty field in a typed column must parse, and "" is no int.
   Table typed = MakeTable();
@@ -258,8 +267,8 @@ TEST(CsvEdgeTest, QuotedNullIsText) {
   Table table = MakeTable();
   ASSERT_TRUE(LoadCsvText("id,name,score\n1,\"NULL\",1\n2,NULL,1\n", &table)
                   .ok());
-  EXPECT_EQ(table.row(0)[1], Value::Text("NULL"));
-  EXPECT_TRUE(table.row(1)[1].is_null());
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("NULL"));
+  EXPECT_TRUE(Rows(table)[1][1].is_null());
   Table typed = MakeTable();
   EXPECT_EQ(LoadError("id,name,score\n\"NULL\",a,1\n", &typed),
             "parse_error: not an int64: 'NULL'");
@@ -271,7 +280,7 @@ TEST(CsvEdgeTest, EmbeddedLineBreaksKeepPhysicalLineNumbers) {
   Table table = MakeTable();
   EXPECT_EQ(LoadError("id,name,score\n1,\"a\nb\r\nc\rd\",1\n2,x\n", &table),
             "parse_error: CSV record at line 6 has 2 fields, expected 3");
-  EXPECT_EQ(table.row(0)[1], Value::Text("a\nb\r\nc\rd"));
+  EXPECT_EQ(Rows(table)[0][1], Value::Text("a\nb\r\nc\rd"));
 }
 
 TEST(CsvEdgeTest, CrlfAndBlankLines) {
@@ -280,7 +289,7 @@ TEST(CsvEdgeTest, CrlfAndBlankLines) {
       "id,name,score\r\n\r\n1,a,2\r\n\n\r\n3,b,4\r\n", &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, 2u);
-  EXPECT_EQ(table.row(1), (ValueVector{Value::Int(3), Value::Text("b"),
+  EXPECT_EQ(Rows(table)[1], (ValueVector{Value::Int(3), Value::Text("b"),
                                        Value::Real(4)}));
   Table bad = MakeTable();
   EXPECT_EQ(LoadError("id,name,score\r\n\r\n1,a\r\n", &bad),
@@ -292,8 +301,8 @@ TEST(CsvEdgeTest, TrailingRecordWithoutNewline) {
   auto loaded = LoadCsvText("id,name,score\n1,a,1\n2,\"b\",", &table);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(*loaded, 2u);
-  EXPECT_EQ(table.row(1)[1], Value::Text("b"));
-  EXPECT_TRUE(table.row(1)[2].is_null());  // the empty field after ','
+  EXPECT_EQ(Rows(table)[1][1], Value::Text("b"));
+  EXPECT_TRUE(Rows(table)[1][2].is_null());  // the empty field after ','
   Table unterminated = MakeTable();
   EXPECT_EQ(LoadError("id,name,score\n1,\"a,1", &unterminated),
             "parse_error: unterminated quoted CSV field");
@@ -321,6 +330,110 @@ TEST(CsvEdgeTest, TypeAndNotNullErrors) {
             "invalid_argument: NULL in not-null attribute K.name");
 }
 
+// One double column holding `values`, in order.
+Table DoubleTable(const std::vector<double>& values) {
+  RelationSchema schema("D");
+  EXPECT_TRUE(schema.AddAttribute("x", DataType::kDouble).ok());
+  Table table(schema);
+  for (double v : values) EXPECT_TRUE(table.Insert({Value::Real(v)}).ok());
+  return table;
+}
+
+TEST(CsvTest, DoublesRoundTripBitIdentically) {
+  std::mt19937_64 rng(20260417);
+  std::vector<double> values = {
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      9007199254740991.0,  // 2^53 - 1
+      9007199254740992.0,  // 2^53
+      9007199254740993.0,  // 2^53 + 1 (rounds to an even neighbour)
+      0.1234567,
+      1234567.0,
+      3.141592653589793,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (int i = 0; i < 2000; ++i) {
+    // Random bit patterns cover subnormals and extreme exponents.
+    const double v = std::bit_cast<double>(rng());
+    if (v != 0.0) values.push_back(v);
+  }
+  Table table = DoubleTable(values);
+  Table loaded = DoubleTable({});
+  auto rows = LoadCsvText(WriteCsvText(table), &loaded);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(*rows, values.size());
+  const std::vector<ValueVector> decoded = Rows(loaded);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double got = decoded[i][0].as_real();
+    if (std::isnan(values[i])) {
+      EXPECT_TRUE(std::isnan(got)) << "row " << i;
+    } else {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                std::bit_cast<uint64_t>(values[i]))
+          << "row " << i << ": " << values[i] << " came back as " << got;
+    }
+  }
+}
+
+TEST(CsvTest, ShortDoublesExportAsValueToString) {
+  // Doubles with at most six significant digits print exactly as they
+  // always have (Value::ToString); among them every salary of the paper
+  // example, so its exported CSVs do not change.
+  std::mt19937_64 rng(7);
+  std::vector<double> values;
+  for (int salary = 1000; salary < 1600; ++salary) values.push_back(salary);
+  for (int i = 0; i < 2000; ++i) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.*g", 1 + static_cast<int>(rng() % 6),
+                  std::ldexp(static_cast<double>(rng() % 1000000) - 500000.0,
+                             static_cast<int>(rng() % 80) - 40));
+    values.push_back(std::strtod(text, nullptr));
+  }
+  const std::string csv = WriteCsvText(DoubleTable(values));
+  std::string expected = "x\n";
+  for (double v : values) expected += Value::Real(v).ToString() + "\n";
+  // The writer renders each distinct value once, from its dictionary entry.
+  EXPECT_EQ(csv, expected);
+}
+
+TEST(CsvTest, ParallelLoadsMatchSequentialLoads) {
+  // dbre_cli loads its relations concurrently: each load writes only its
+  // own table, so the result is that of loading them one at a time.
+  constexpr size_t kTables = 4;
+  std::vector<std::string> texts;
+  for (size_t t = 0; t < kTables; ++t) {
+    std::string csv = "id,name,score\n";
+    for (int i = 0; i < 3000; ++i) {
+      csv += std::to_string(i) + ",n" + std::to_string((i * (t + 3)) % 97) +
+             "," + std::to_string(i % 13) + ".5\n";
+    }
+    texts.push_back(std::move(csv));
+  }
+  std::vector<Table> sequential(kTables, MakeTable());
+  for (size_t t = 0; t < kTables; ++t) {
+    ASSERT_TRUE(LoadCsvText(texts[t], &sequential[t]).ok());
+  }
+  std::vector<Table> parallel(kTables, MakeTable());
+  std::vector<Status> loaded(kTables);
+  ParallelFor(kTables, kTables, [&](size_t t) {
+    loaded[t] = LoadCsvText(texts[t], &parallel[t]).status();
+  });
+  for (size_t t = 0; t < kTables; ++t) {
+    ASSERT_TRUE(loaded[t].ok()) << loaded[t].ToString();
+    EXPECT_EQ(Rows(parallel[t]), Rows(sequential[t])) << "table " << t;
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(parallel[t].extension().codes(c),
+                sequential[t].extension().codes(c));
+    }
+  }
+}
+
 TEST(CsvTest, FileRoundTrip) {
   Table table = MakeTable();
   ASSERT_TRUE(
@@ -330,7 +443,7 @@ TEST(CsvTest, FileRoundTrip) {
   Table reloaded = MakeTable();
   auto loaded = LoadCsvFile(path, &reloaded);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(reloaded.row(0), table.row(0));
+  EXPECT_EQ(Rows(reloaded)[0], Rows(table)[0]);
   EXPECT_EQ(LoadCsvFile("/nonexistent/x.csv", &reloaded).status().code(),
             StatusCode::kIoError);
 }
@@ -356,7 +469,7 @@ TEST(CsvTest, FileLoadsThroughPipe) {
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, static_cast<size_t>(kRows));
-  EXPECT_EQ(table.row(kRows - 1)[1], Value::Text("name9999"));
+  EXPECT_EQ(Rows(table)[kRows - 1][1], Value::Text("name9999"));
 }
 
 TEST(CsvTest, DatabaseExportImportRoundTrip) {
@@ -392,8 +505,8 @@ TEST(CsvTest, DatabaseExportImportRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, 2u);  // NoFile.csv does not exist → skipped
   for (const char* name : {"A", "B"}) {
-    EXPECT_EQ((**reloaded.GetTable(name)).rows(),
-              (**db.GetTable(name)).rows());
+    EXPECT_EQ(Rows((**reloaded.GetTable(name))),
+              Rows((**db.GetTable(name))));
   }
   EXPECT_EQ((**reloaded.GetTable("NoFile")).num_rows(), 0u);
   EXPECT_FALSE(ImportDatabaseCsv(directory, nullptr).ok());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "relational/query_cache.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -15,8 +16,10 @@ Table MakeTable(const std::string& name, int first_id, int rows) {
   EXPECT_TRUE(schema.AddAttribute("label", DataType::kString).ok());
   Table table(schema);
   for (int i = 0; i < rows; ++i) {
-    table.InsertUnchecked(
-        {Value::Int(first_id + i), Value::Text("row-" + std::to_string(i))});
+    EXPECT_TRUE(table
+                    .Insert({Value::Int(first_id + i),
+                             Value::Text("row-" + std::to_string(i))})
+                    .ok());
   }
   return table;
 }
@@ -27,9 +30,9 @@ TEST(ExtensionRegistryTest, IdenticalContentIsShared) {
   EXPECT_FALSE(registry.Intern(&first));  // miss: becomes canonical
 
   Table second = MakeTable("R", 1, 50);
-  ASSERT_NE(second.shared_rows().get(), first.shared_rows().get());
+  ASSERT_NE(Storage(second), Storage(first));
   EXPECT_TRUE(registry.Intern(&second));  // hit: adopts the storage
-  EXPECT_EQ(second.shared_rows().get(), first.shared_rows().get());
+  EXPECT_EQ(Storage(second), Storage(first));
 
   ExtensionRegistry::Stats stats = registry.stats();
   EXPECT_EQ(stats.lookups, 2u);
@@ -45,8 +48,8 @@ TEST(ExtensionRegistryTest, DifferentContentIsNotShared) {
   EXPECT_FALSE(registry.Intern(&first));
   EXPECT_FALSE(registry.Intern(&shifted));
   EXPECT_FALSE(registry.Intern(&shorter));
-  EXPECT_NE(first.shared_rows().get(), shifted.shared_rows().get());
-  EXPECT_NE(first.shared_rows().get(), shorter.shared_rows().get());
+  EXPECT_NE(Storage(first), Storage(shifted));
+  EXPECT_NE(Storage(first), Storage(shorter));
   EXPECT_EQ(registry.stats().entries, 3u);
 }
 
@@ -61,11 +64,11 @@ TEST(ExtensionRegistryTest, SchemaDifferencesPreventSharing) {
   ASSERT_TRUE(schema.AddAttribute("tag", DataType::kString).ok());
   Table renamed(schema);
   for (int i = 0; i < 10; ++i) {
-    renamed.InsertUnchecked(
-        {Value::Int(1 + i), Value::Text("row-" + std::to_string(i))});
+    EXPECT_TRUE(renamed.Insert(
+        {Value::Int(1 + i), Value::Text("row-" + std::to_string(i))}).ok());
   }
   registry.Intern(&renamed);
-  EXPECT_NE(renamed.shared_rows().get(), first.shared_rows().get());
+  EXPECT_NE(Storage(renamed), Storage(first));
 }
 
 TEST(ExtensionRegistryTest, AdoptedTablesShareTheQueryCache) {
@@ -134,15 +137,15 @@ TEST(ExtensionRegistryTest, FingerprintCollisionsDoNotShareStorage) {
   constexpr uint64_t kColliding = 0xDEADBEEFCAFEF00Dull;
   EXPECT_FALSE(registry.InternPrecomputed(&first, kColliding));
   EXPECT_FALSE(registry.InternPrecomputed(&impostor, kColliding));
-  EXPECT_NE(impostor.shared_rows().get(), first.shared_rows().get());
-  EXPECT_EQ(impostor.row(0)[0], Value::Int(500));
-  EXPECT_EQ(first.row(0)[0], Value::Int(1));
+  EXPECT_NE(Storage(impostor), Storage(first));
+  EXPECT_EQ(Rows(impostor)[0][0], Value::Int(500));
+  EXPECT_EQ(Rows(first)[0][0], Value::Int(1));
 
   // Both colliding tables stay reachable in the bucket: a genuine twin of
   // either one still gets shared storage.
   Table twin = MakeTable("R", 500, 30);
   EXPECT_TRUE(registry.InternPrecomputed(&twin, kColliding));
-  EXPECT_EQ(twin.shared_rows().get(), impostor.shared_rows().get());
+  EXPECT_EQ(Storage(twin), Storage(impostor));
 }
 
 TEST(ExtensionRegistryTest, ComputeFingerprintTracksContent) {

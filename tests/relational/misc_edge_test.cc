@@ -3,6 +3,7 @@
 
 #include "relational/algebra.h"
 #include "relational/database.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -21,7 +22,7 @@ TEST(TableEdgeTest, ClearEmptiesRows) {
   RelationSchema schema("T");
   ASSERT_TRUE(schema.AddAttribute("a", DataType::kInt64).ok());
   Table table(std::move(schema));
-  table.InsertUnchecked({Value::Int(1)});
+  EXPECT_TRUE(table.Insert({Value::Int(1)}).ok());
   EXPECT_EQ(table.num_rows(), 1u);
   table.Clear();
   EXPECT_EQ(table.num_rows(), 0u);
@@ -47,7 +48,7 @@ TEST(DatabaseEdgeTest, DescribeSchemaListsRelations) {
   ASSERT_TRUE(schema.AddAttribute("id", DataType::kInt64).ok());
   ASSERT_TRUE(schema.DeclareUnique({"id"}).ok());
   ASSERT_TRUE(db.CreateRelation(std::move(schema)).ok());
-  (*db.GetMutableTable("People"))->InsertUnchecked({Value::Int(1)});
+  EXPECT_TRUE((*db.GetMutableTable("People"))->Insert({Value::Int(1)}).ok());
   std::string text = db.DescribeSchema();
   EXPECT_NE(text.find("People(id) unique{id}"), std::string::npos);
   EXPECT_NE(text.find("[1 tuples]"), std::string::npos);
@@ -63,8 +64,8 @@ TEST(DatabaseEdgeTest, VerifyDeclaredConstraintsCoversAllRelations) {
   ASSERT_TRUE(bad.DeclareUnique({"k"}).ok());
   ASSERT_TRUE(db.CreateRelation(std::move(bad)).ok());
   Table* table = *db.GetMutableTable("Bad");
-  table->InsertUnchecked({Value::Int(1)});
-  table->InsertUnchecked({Value::Int(1)});
+  EXPECT_TRUE(table->Insert({Value::Int(1)}).ok());
+  EXPECT_TRUE(table->Insert({Value::Int(1)}).ok());
   EXPECT_EQ(db.VerifyDeclaredConstraints().code(),
             StatusCode::kFailedPrecondition);
 }

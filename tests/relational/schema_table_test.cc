@@ -2,6 +2,7 @@
 
 #include "relational/schema.h"
 #include "relational/table.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -153,14 +154,20 @@ TEST(TableTest, VerifyUniqueDetectsDuplicates) {
   ASSERT_TRUE(
       table.Insert({Value::Int(1), Value::Text("a"), Value::Real(1.0)}).ok());
   EXPECT_TRUE(table.VerifyUniqueConstraints().ok());
-  table.InsertUnchecked({Value::Int(1), Value::Text("b"), Value::Real(2.0)});
+  EXPECT_TRUE(
+      table.Insert({Value::Int(1), Value::Text("b"), Value::Real(2.0)}).ok());
   EXPECT_EQ(table.VerifyUniqueConstraints().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(TableTest, VerifyNotNullDetectsViolations) {
+  // Insert refuses the NULL, so the violating extension is adopted whole
+  // (not-null is the adopter's to honour).
   Table table(MakeSchema());
-  table.InsertUnchecked({Value::Int(1), Value::Text("a"), Value::Null()});
+  EncodedTable extension(
+      {DataType::kInt64, DataType::kString, DataType::kDouble});
+  extension.AppendRow({Value::Int(1), Value::Text("a"), Value::Null()});
+  ASSERT_TRUE(table.AdoptExtension(std::move(extension)).ok());
   EXPECT_EQ(table.VerifyNotNullConstraints().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -173,22 +180,22 @@ TEST(TableTest, DropAttributeRemovesColumnData) {
       table.Insert({Value::Int(2), Value::Text("b"), Value::Real(2.0)}).ok());
   ASSERT_TRUE(table.DropAttributes(AttributeSet{"name"}).ok());
   EXPECT_EQ(table.schema().arity(), 2u);
-  EXPECT_EQ(table.row(0).size(), 2u);
-  EXPECT_EQ(table.row(0)[0], Value::Int(1));
-  EXPECT_EQ(table.row(0)[1], Value::Real(1.0));
-  EXPECT_EQ(table.row(1)[1], Value::Real(2.0));
+  EXPECT_EQ(Rows(table)[0].size(), 2u);
+  EXPECT_EQ(Rows(table)[0][0], Value::Int(1));
+  EXPECT_EQ(Rows(table)[0][1], Value::Real(1.0));
+  EXPECT_EQ(Rows(table)[1][1], Value::Real(2.0));
   // A missing attribute fails the whole drop and changes nothing.
   EXPECT_EQ(table.DropAttributes(AttributeSet{"name", "score"}).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(table.schema().arity(), 2u);
-  EXPECT_EQ(table.row(0).size(), 2u);
+  EXPECT_EQ(Rows(table)[0].size(), 2u);
   // Several attributes go in one pass; the survivors keep their order.
   Table wide(MakeSchema());
   ASSERT_TRUE(
       wide.Insert({Value::Int(7), Value::Text("c"), Value::Real(3.0)}).ok());
   ASSERT_TRUE(wide.DropAttributes(AttributeSet{"id", "score"}).ok());
   EXPECT_EQ(wide.schema().arity(), 1u);
-  EXPECT_EQ(wide.row(0), (ValueVector{Value::Text("c")}));
+  EXPECT_EQ(Rows(wide)[0], (ValueVector{Value::Text("c")}));
   EXPECT_TRUE(wide.schema().unique_constraints().empty());
 }
 

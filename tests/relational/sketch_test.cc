@@ -22,6 +22,7 @@
 #include "relational/database.h"
 #include "relational/query_cache.h"
 #include "relational/table.h"
+#include "support/table_rows.h"
 
 namespace dbre {
 namespace {
@@ -148,8 +149,8 @@ Database MakeAdversarialDatabase(uint64_t seed, size_t rows) {
     EXPECT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
     Table table(std::move(schema));
     for (int d = 0; d < 40; ++d) {
-      table.InsertUnchecked(
-          {Value::Int(d), Value::Text("d" + std::to_string(d % 7))});
+      EXPECT_TRUE(table.Insert(
+          {Value::Int(d), Value::Text("d" + std::to_string(d % 7))}).ok());
     }
     EXPECT_TRUE(db.AddTable(std::move(table)).ok());
   }
@@ -163,8 +164,8 @@ Database MakeAdversarialDatabase(uint64_t seed, size_t rows) {
       int64_t dep = static_cast<int64_t>(rng() % 44);  // 40..43 are strays
       Value grade = rng() % 3 == 0 ? Value::Null()
                                    : Value::Int(static_cast<int64_t>(rng() % 5));
-      table.InsertUnchecked(
-          {Value::Int(static_cast<int64_t>(i)), Value::Int(dep), grade});
+      EXPECT_TRUE(table.Insert(
+          {Value::Int(static_cast<int64_t>(i)), Value::Int(dep), grade}).ok());
     }
     EXPECT_TRUE(db.AddTable(std::move(table)).ok());
   }

@@ -4,6 +4,7 @@
 
 #include "sql/ddl.h"
 #include "workload/paper_example.h"
+#include "support/table_rows.h"
 
 namespace dbre::sql {
 namespace {
@@ -67,7 +68,7 @@ TEST(DdlWriterTest, DataRoundTrips) {
   const Table& round = **reloaded.GetTable("T");
   ASSERT_EQ(round.num_rows(), original.num_rows());
   for (size_t i = 0; i < original.num_rows(); ++i) {
-    EXPECT_EQ(round.row(i), original.row(i)) << "row " << i;
+    EXPECT_EQ(Rows(round)[i], Rows(original)[i]) << "row " << i;
   }
 }
 
@@ -115,7 +116,7 @@ TEST(DdlWriterTest, PaperDatabaseRoundTrips) {
     const Table& original = **db->GetTable(relation);
     const Table& round = **reloaded.GetTable(relation);
     ASSERT_EQ(round.num_rows(), original.num_rows()) << relation;
-    EXPECT_EQ(round.rows(), original.rows()) << relation;
+    EXPECT_EQ(Rows(round), Rows(original)) << relation;
   }
   EXPECT_TRUE(reloaded.VerifyDeclaredConstraints().ok());
 }

@@ -2,6 +2,7 @@
 
 #include "sql/ddl.h"
 #include "sql/scanner.h"
+#include "support/table_rows.h"
 
 namespace dbre::sql {
 namespace {
@@ -158,10 +159,10 @@ INSERT INTO T (name, id) VALUES ('carol', 3);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->rows_inserted, 3u);
   const Table& t = **database.GetTable("T");
-  EXPECT_EQ(t.row(0)[1], Value::Text("alice"));
-  EXPECT_TRUE(t.row(1)[2].is_null());
-  EXPECT_EQ(t.row(2)[0], Value::Int(3));
-  EXPECT_TRUE(t.row(2)[2].is_null());  // omitted column defaults to NULL
+  EXPECT_EQ(Rows(t)[0][1], Value::Text("alice"));
+  EXPECT_TRUE(Rows(t)[1][2].is_null());
+  EXPECT_EQ(Rows(t)[2][0], Value::Int(3));
+  EXPECT_TRUE(Rows(t)[2][2].is_null());  // omitted column defaults to NULL
 }
 
 TEST(DdlTest, InsertValidation) {

@@ -15,6 +15,7 @@
 #include "relational/database.h"
 #include "relational/table.h"
 #include "sql/executor.h"
+#include "support/table_rows.h"
 
 namespace dbre::sql {
 namespace {
@@ -48,10 +49,10 @@ Database MakeDatabase(size_t emp_rows) {
     EXPECT_TRUE(schema.AddAttribute("floor", DataType::kInt64).ok());
     Table table(std::move(schema));
     for (int d = 0; d < 23; ++d) {
-      table.InsertUnchecked({Value::Int(d),
+      EXPECT_TRUE(table.Insert({Value::Int(d),
                              d % 5 == 0 ? Value::Null()
                                         : Value::Text("d" + std::to_string(d)),
-                             Value::Int(d % 4)});
+                             Value::Int(d % 4)}).ok());
     }
     EXPECT_TRUE(db.AddTable(std::move(table)).ok());
   }
@@ -73,8 +74,8 @@ Database MakeDatabase(size_t emp_rows) {
                     : i % 5 == 1 ? Value::Real(-0.0)
                     : i % 5 == 2 ? Value::Real(0.0)
                                  : Value::Real(static_cast<double>(i % 17));
-      table.InsertUnchecked(
-          {Value::Int(static_cast<int64_t>(i)), dep, name, bonus});
+      EXPECT_TRUE(table.Insert(
+          {Value::Int(static_cast<int64_t>(i)), dep, name, bonus}).ok());
     }
     EXPECT_TRUE(db.AddTable(std::move(table)).ok());
   }

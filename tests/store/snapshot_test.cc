@@ -10,6 +10,7 @@
 #include "relational/extension_registry.h"
 #include "relational/table.h"
 #include "store/crc32c.h"
+#include "support/table_rows.h"
 
 namespace dbre::store {
 namespace {
@@ -51,7 +52,7 @@ Table MixedTable(int rows) {
     row.push_back(i % 7 == 3 ? Value::Null() : Value::Text(cities[i % 3]));
     row.push_back(Value::Real(i * 0.5));
     row.push_back(i % 5 == 0 ? Value::Null() : Value::Boolean(i % 2 == 0));
-    table.InsertUnchecked(std::move(row));
+    EXPECT_TRUE(table.Insert(std::move(row)).ok());
   }
   return table;
 }
@@ -79,9 +80,13 @@ TEST_F(SnapshotTest, RoundTripsSchemaRowsAndFingerprint) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint, written->fingerprint);
   EXPECT_EQ(loaded->schema.name(), "orders");
-  ASSERT_EQ(loaded->rows->size(), table.num_rows());
+  ASSERT_EQ(loaded->extension.num_rows(), table.num_rows());
+  Table restored(loaded->schema);
+  ASSERT_TRUE(restored.AdoptExtension(loaded->extension).ok());
+  const std::vector<ValueVector> rows = Rows(table);
+  const std::vector<ValueVector> loaded_rows = Rows(restored);
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ((*loaded->rows)[i], table.row(i)) << "row " << i;
+    EXPECT_EQ(loaded_rows[i], rows[i]) << "row " << i;
   }
 }
 
@@ -93,7 +98,7 @@ TEST_F(SnapshotTest, RestoredTableRecomputesTheSameFingerprint) {
   ASSERT_TRUE(loaded.ok());
 
   Table restored(loaded->schema);
-  ASSERT_TRUE(restored.AdoptExtension(loaded->rows).ok());
+  ASSERT_TRUE(restored.AdoptExtension(loaded->extension).ok());
   // The footer fingerprint is not just stored — it is the same value a
   // fresh hash of the restored rows produces.
   EXPECT_EQ(ExtensionRegistry::ComputeFingerprint(restored),
@@ -105,7 +110,7 @@ TEST_F(SnapshotTest, EmptyExtensionRoundTrips) {
   ASSERT_TRUE(WriteSnapshot(table, Path("empty.snap")).ok());
   auto loaded = LoadSnapshot(Path("empty.snap"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->rows->empty());
+  EXPECT_EQ(loaded->extension.num_rows(), 0u);
 }
 
 TEST_F(SnapshotTest, ReadSnapshotInfoMatchesWriterWithoutDecoding) {

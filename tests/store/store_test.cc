@@ -10,6 +10,7 @@
 
 #include "relational/extension_registry.h"
 #include "relational/table.h"
+#include "support/table_rows.h"
 
 namespace dbre::store {
 namespace {
@@ -39,8 +40,8 @@ Table SmallTable(const std::string& name, int first) {
   EXPECT_TRUE(schema.AddAttribute("label", DataType::kString).ok());
   Table table(schema);
   for (int i = 0; i < 10; ++i) {
-    table.InsertUnchecked(
-        {Value::Int(first + i), Value::Text("v" + std::to_string(i))});
+    EXPECT_TRUE(table.Insert(
+        {Value::Int(first + i), Value::Text("v" + std::to_string(i))}).ok());
   }
   return table;
 }
@@ -86,7 +87,7 @@ TEST_F(StoreTest, SnapshotsAreContentAddressedAndShared) {
 
   auto loaded = (*store)->LoadSnapshot(first->fingerprint);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rows->size(), 10u);
+  EXPECT_EQ(loaded->extension.num_rows(), 10u);
   EXPECT_EQ(loaded->fingerprint, first->fingerprint);
 
   EXPECT_FALSE((*store)->LoadSnapshot(first->fingerprint + 1).ok());
@@ -334,7 +335,7 @@ TEST_F(StoreTest, ReopeningAnExistingRootKeepsData) {
   EXPECT_TRUE((*reopened)->HasSnapshot(fingerprint));
   auto loaded = (*reopened)->LoadSnapshot(fingerprint);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows->size(), 10u);
+  EXPECT_EQ(loaded->extension.num_rows(), 10u);
 }
 
 }  // namespace

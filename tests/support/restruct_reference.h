@@ -5,8 +5,8 @@
 // row with full validation; FD splits group rows in an
 // unordered_map<ValueVector, ValueVector> (first witness wins); moved
 // attributes are erased from every row right after each split. Reads
-// materialized rows, so it runs on in-memory catalogs only — paged runs of
-// the real Restruct are compared against this on an in-memory copy.
+// decoded rows, and is compared against paged runs of the real Restruct on
+// an in-memory copy.
 #ifndef DBRE_TESTS_SUPPORT_RESTRUCT_REFERENCE_H_
 #define DBRE_TESTS_SUPPORT_RESTRUCT_REFERENCE_H_
 
@@ -20,6 +20,7 @@
 #include "core/restruct.h"
 #include "relational/algebra.h"
 #include "relational/csv.h"
+#include "support/table_rows.h"
 
 namespace dbre::reference {
 
@@ -73,12 +74,18 @@ inline Status CreateRelationFrom(Database* database, const std::string& name,
 // Erases one attribute's cell from every row.
 inline Status DropAttributeByRows(Table* table, const std::string& name) {
   DBRE_ASSIGN_OR_RETURN(size_t index, table->schema().AttributeIndex(name));
-  auto rows = std::make_shared<std::vector<ValueVector>>(table->rows());
-  for (ValueVector& row : *rows) {
-    row.erase(row.begin() + static_cast<ptrdiff_t>(index));
-  }
+  std::vector<ValueVector> rows = Rows(*table);
   DBRE_RETURN_IF_ERROR(table->mutable_schema().RemoveAttribute(name));
-  return table->AdoptExtension(std::move(rows));
+  std::vector<DataType> types;
+  for (const Attribute& attribute : table->schema().attributes()) {
+    types.push_back(attribute.type);
+  }
+  EncodedTable extension(std::move(types));
+  for (ValueVector& row : rows) {
+    row.erase(row.begin() + static_cast<ptrdiff_t>(index));
+    extension.AppendRow(row);
+  }
+  return table->AdoptExtension(std::move(extension));
 }
 
 inline Result<RestructResult> Restruct(
@@ -139,13 +146,13 @@ inline Result<RestructResult> Restruct(
                           OrderedProjectionIndexes(*source, attribute_order));
     std::unordered_map<ValueVector, ValueVector, ValueVectorHash> projected;
     DBRE_RETURN_IF_ERROR(source->ForEachRow([&](const ValueVector& row) {
-      ValueVector key = Table::ProjectRow(row, lhs_indexes);
+      ValueVector key = ProjectRow(row, lhs_indexes);
       if (std::any_of(key.begin(), key.end(),
                       [](const Value& v) { return v.is_null(); })) {
         return;
       }
       projected.try_emplace(std::move(key),
-                            Table::ProjectRow(row, all_indexes));
+                            ProjectRow(row, all_indexes));
     }));
     std::vector<ValueVector> rows;
     rows.reserve(projected.size());

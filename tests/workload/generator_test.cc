@@ -5,6 +5,7 @@
 #include "deps/ind.h"
 #include "relational/algebra.h"
 #include "sql/scanner.h"
+#include "support/table_rows.h"
 
 namespace dbre::workload {
 namespace {
@@ -28,8 +29,8 @@ TEST(GeneratorTest, DeterministicForSameSeed) {
   EXPECT_EQ(a->true_inds, b->true_inds);
   ASSERT_EQ(a->database.RelationNames(), b->database.RelationNames());
   for (const std::string& name : a->database.RelationNames()) {
-    EXPECT_EQ((**a->database.GetTable(name)).rows(),
-              (**b->database.GetTable(name)).rows());
+    EXPECT_EQ(Rows((**a->database.GetTable(name))),
+              Rows((**b->database.GetTable(name))));
   }
 }
 

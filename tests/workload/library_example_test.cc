@@ -9,6 +9,7 @@
 #include "sql/scanner.h"
 #include "sql/selection_analysis.h"
 #include "workload/library_example.h"
+#include "support/table_rows.h"
 
 namespace dbre::workload {
 namespace {
@@ -101,7 +102,7 @@ TEST_F(LibraryExampleTest, RestructCreatesBranchFirstWins) {
   auto city_index = branch.schema().AttributeIndex("branch_city");
   auto branch_index = branch.schema().AttributeIndex("branch");
   ASSERT_TRUE(city_index.ok() && branch_index.ok());
-  for (const ValueVector& row : branch.rows()) {
+  for (const ValueVector& row : Rows(branch)) {
     EXPECT_NE(row[*city_index].as_text(), "mispunched")
         << row[*branch_index].ToString();
   }
