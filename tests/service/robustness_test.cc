@@ -431,10 +431,13 @@ TEST_F(RobustnessTest, InjectedAllocationFailureFailsTheLoadCleanly) {
   load_ddl.Set("sql", Json::Str(inputs.ddl));
   client.MustCall(std::move(load_ddl));
 
+  const int64_t bytes_before =
+      client.MustCall(Command("status", "tight")).GetInt("memory_bytes");
   ASSERT_TRUE(
       Failpoints::Instance().Arm("session.reserve", "error*1").ok());
+  const std::string& relation = inputs.csvs.front().first;
   Json load_csv = Command("load_csv", "tight");
-  load_csv.Set("relation", Json::Str(inputs.csvs.front().first));
+  load_csv.Set("relation", Json::Str(relation));
   load_csv.Set("csv", Json::Str(inputs.csvs.front().second));
   Json failed = client.Call(load_csv);
   ASSERT_FALSE(failed.GetBool("ok"));
@@ -444,10 +447,16 @@ TEST_F(RobustnessTest, InjectedAllocationFailureFailsTheLoadCleanly) {
             std::string::npos)
       << failed.Dump();
 
-  // The failed load rolled back cleanly: the same load now succeeds and
-  // the session is fully usable.
+  // The failed load rolled back cleanly: the session's bytes are as before,
+  // the same load now succeeds, and the table holds its rows once.
+  EXPECT_EQ(client.MustCall(Command("status", "tight")).GetInt("memory_bytes"),
+            bytes_before);
   Json retry = client.MustCall(load_csv);
   EXPECT_GT(retry.GetInt("rows"), 0);
+  Json count = Command("mutate", "tight");
+  count.Set("sql", Json::Str("DELETE FROM " + relation + ";"));
+  EXPECT_EQ(client.MustCall(std::move(count)).GetInt("deleted"),
+            retry.GetInt("rows"));
   Json status = client.MustCall(Command("status", "tight"));
   EXPECT_EQ(status.GetString("state"), "idle");
 

@@ -116,8 +116,10 @@ TEST(SessionManagerTest, MemoryAccountingAndSessionBudget) {
   ASSERT_TRUE(session->LoadCsv("R", kCsvR, &rows).ok());
   EXPECT_GT(session->memory_bytes(), 0u);
   EXPECT_EQ(manager.budget()->used(), session->memory_bytes());
+  const size_t small_bytes = session->memory_bytes();
 
-  // An extension beyond the per-session budget is rejected.
+  // An extension beyond the per-session budget is rejected, and the table
+  // goes back to what the session accounted for.
   std::string big = "a,b\n";
   for (int i = 0; i < 2000; ++i) {
     big += std::to_string(i) + ",payload-" + std::to_string(i) + "\n";
@@ -125,6 +127,8 @@ TEST(SessionManagerTest, MemoryAccountingAndSessionBudget) {
   Status too_big = session->LoadCsv("R", big, &rows);
   ASSERT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session->memory_bytes(), small_bytes);
+  EXPECT_EQ(manager.budget()->used(), small_bytes);
 
   // Closing releases the reservation.
   ASSERT_TRUE(manager.CloseSession(*id).ok());
