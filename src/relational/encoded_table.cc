@@ -35,11 +35,6 @@ uint64_t TextKey(std::string_view text) {
   return std::hash<std::string_view>()(text);
 }
 
-const Value& NullValue() {
-  static const Value null;
-  return null;
-}
-
 }  // namespace
 
 // Open addressing over (64-bit key, code) slots, linear probing with
@@ -226,11 +221,6 @@ void EncodedTable::RowReader::Read(size_t row, ValueVector* out) {
   }
 }
 
-const Value& EncodedTable::RowView::operator[](size_t c) const {
-  const uint32_t code = encoded_->columns_[c]->codes[row_];
-  return code == kNullCode ? NullValue() : encoded_->Decode(c, code);
-}
-
 DictionaryIndex& EncodedTable::ColumnWriter::Index() {
   if (column_->index == nullptr) {
     column_->index =
@@ -415,19 +405,21 @@ void EncodedTable::Renumber(size_t c) {
   column.index.reset();
 }
 
-void EncodedTable::EraseRows(const std::vector<uint8_t>& erase) {
-  size_t kept = 0;
-  for (uint8_t e : erase) kept += e ? 0 : 1;
+void EncodedTable::EraseRows(const std::vector<size_t>& rows) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     std::vector<uint32_t>& codes = MutableColumn(c)->codes;
-    size_t out = 0;
+    size_t out = 0, next = 0;
     for (size_t r = 0; r < codes.size(); ++r) {
-      if (!erase[r]) codes[out++] = codes[r];
+      if (next < rows.size() && rows[next] == r) {
+        ++next;
+        continue;
+      }
+      codes[out++] = codes[r];
     }
     codes.resize(out);
     Renumber(c);
   }
-  num_rows_ = kept;
+  num_rows_ -= rows.size();
 }
 
 void EncodedTable::KeepColumns(const std::vector<size_t>& kept) {

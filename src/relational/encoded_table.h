@@ -184,22 +184,6 @@ class EncodedTable {
     return RowReader(this, std::move(columns));
   }
 
-  // A zero-copy view of one in-memory row: cells are references into the
-  // resident dictionaries (NULL cells into a shared NULL value). Valid
-  // until the extension is next written.
-  class RowView {
-   public:
-    RowView(const EncodedTable* encoded, size_t row)
-        : encoded_(encoded), row_(row) {}
-
-    size_t size() const { return encoded_->num_columns(); }
-    const Value& operator[](size_t c) const;
-
-   private:
-    const EncodedTable* encoded_;
-    size_t row_;
-  };
-
   // --- Writers (in-memory mode) -------------------------------------------
 
   // Appends cells to one column, continuing its first-appearance numbering
@@ -279,8 +263,9 @@ class EncodedTable {
   // every cell, as each NaN does.
   void SetCells(size_t c, const std::vector<size_t>& rows, const Value& value);
 
-  // Removes every row whose `erase` flag is set, renumbering each column.
-  void EraseRows(const std::vector<uint8_t>& erase);
+  // Removes rows `rows` (strictly ascending, each in range), renumbering
+  // each column.
+  void EraseRows(const std::vector<size_t>& rows);
 
   // Keeps only the columns `kept` (ascending), in either mode: a column-map
   // edit, no codes move.

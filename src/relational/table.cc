@@ -6,6 +6,7 @@
 #include <iterator>
 #include <mutex>
 #include <numeric>
+#include <string>
 
 #include "relational/query_cache.h"
 
@@ -132,14 +133,30 @@ void Table::Clear() {
   extension_ = EncodedTable(Types());
 }
 
-Result<size_t> Table::UpdateRows(const std::vector<size_t>& columns,
-                                 const ValueVector& values,
-                                 const RowPredicate& predicate) {
+Status Table::CheckMutation(const char* mutator,
+                             const std::vector<size_t>& rows) const {
   if (is_paged()) {
     return FailedPreconditionError(
         "relation " + schema_.name() +
         " is paged and read-only; materialize before mutating");
   }
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] >= num_rows()) {
+      return InvalidArgumentError(std::string(mutator) +
+                                  ": row id out of range");
+    }
+    if (k > 0 && rows[k] <= rows[k - 1]) {
+      return InvalidArgumentError(std::string(mutator) +
+                                  ": row ids not strictly ascending");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<size_t> Table::UpdateRows(const std::vector<size_t>& columns,
+                                 const ValueVector& values,
+                                 const std::vector<size_t>& rows) {
+  DBRE_RETURN_IF_ERROR(CheckMutation("UpdateRows", rows));
   if (columns.empty() || columns.size() != values.size()) {
     return InvalidArgumentError("UpdateRows: column/value count mismatch");
   }
@@ -157,38 +174,22 @@ Result<size_t> Table::UpdateRows(const std::vector<size_t>& columns,
                                   schema_.name() + "." + attribute.name);
     }
   }
-  // Match first: a predicate hitting nothing must not detach the shared
-  // columns or invalidate the cache.
-  std::vector<size_t> matched;
-  for (size_t i = 0; i < num_rows(); ++i) {
-    if (predicate(EncodedTable::RowView(&extension_, i))) matched.push_back(i);
-  }
-  if (matched.empty()) return size_t{0};
+  // An empty selection must not detach the shared columns or invalidate
+  // the cache.
+  if (rows.empty()) return size_t{0};
   NoteUpdate(columns);
   for (size_t k = 0; k < columns.size(); ++k) {
-    extension_.SetCells(columns[k], matched, values[k]);
+    extension_.SetCells(columns[k], rows, values[k]);
   }
-  return matched.size();
+  return rows.size();
 }
 
-Result<size_t> Table::DeleteRows(const RowPredicate& predicate) {
-  if (is_paged()) {
-    return FailedPreconditionError(
-        "relation " + schema_.name() +
-        " is paged and read-only; materialize before mutating");
-  }
-  std::vector<uint8_t> erase(num_rows(), 0);
-  size_t matched = 0;
-  for (size_t i = 0; i < num_rows(); ++i) {
-    if (predicate(EncodedTable::RowView(&extension_, i))) {
-      erase[i] = 1;
-      ++matched;
-    }
-  }
-  if (matched == 0) return size_t{0};
+Result<size_t> Table::DeleteRows(const std::vector<size_t>& rows) {
+  DBRE_RETURN_IF_ERROR(CheckMutation("DeleteRows", rows));
+  if (rows.empty()) return size_t{0};
   NoteStructural();
-  extension_.EraseRows(erase);
-  return matched;
+  extension_.EraseRows(rows);
+  return rows.size();
 }
 
 bool Table::AdoptSharedExtension(const Table& other) {

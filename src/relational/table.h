@@ -77,26 +77,26 @@ class Table {
   void Clear();
 
   // --- Mutation path for live sessions (docs/INCREMENTAL.md) -------------
-
-  // A predicate over one row, read through a zero-copy view.
-  using RowPredicate = std::function<bool(const EncodedTable::RowView&)>;
+  //
+  // Both mutators take a row selection: row ids in strictly ascending
+  // order, each below num_rows() (the DML front end selects them over the
+  // codes). Anything else fails invalid_argument, changing nothing.
 
   // In-place update: assigns values[k] to column columns[k] of every row
-  // satisfying `predicate`. Values are validated against declared types and
-  // not-null declarations up front; a predicate matching nothing leaves the
-  // extension, its cache and any pending delta untouched. Returns the
-  // number of updated rows. The touched columns are renumbered back to
-  // first-appearance order. Fails failed_precondition on a paged extension
-  // (call MakeResident first).
+  // in `rows`. Values are validated against declared types and not-null
+  // declarations up front; an empty selection leaves the extension, its
+  // cache and any pending delta untouched. Returns the number of updated
+  // rows. The touched columns are renumbered back to first-appearance
+  // order. Fails failed_precondition on a paged extension (call
+  // MakeResident first).
   Result<size_t> UpdateRows(const std::vector<size_t>& columns,
                             const ValueVector& values,
-                            const RowPredicate& predicate);
+                            const std::vector<size_t>& rows);
 
-  // Removes every row satisfying `predicate`; returns how many. Row
-  // removal is a structural change: the cache rebuilds cold (row-positional
-  // state cannot be patched). Fails failed_precondition on a paged
-  // extension.
-  Result<size_t> DeleteRows(const RowPredicate& predicate);
+  // Removes every row in `rows`; returns how many. Row removal is a
+  // structural change: the cache rebuilds cold (row-positional state
+  // cannot be patched). Fails failed_precondition on a paged extension.
+  Result<size_t> DeleteRows(const std::vector<size_t>& rows);
 
   // Detaches this table's extension from every sharing peer — the
   // ExtensionRegistry's canonical copy or a sibling session adopted via
@@ -186,6 +186,11 @@ class Table {
 
   // The error for `value` not matching column `column`'s declared type.
   Status TypeMismatch(size_t column, const Value& value) const;
+
+  // Checks a mutator's row selection: paged extensions are read-only, and
+  // row ids must ascend strictly below num_rows().
+  Status CheckMutation(const char* mutator,
+                        const std::vector<size_t>& rows) const;
 
   // Declared attribute types, in schema order.
   std::vector<DataType> Types() const;

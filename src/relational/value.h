@@ -3,10 +3,11 @@
 // A `Value` is a tagged union of NULL, 64-bit integer, double, boolean and
 // string. Values order NULL-first, then by type tag, then by payload; this
 // total order lets value vectors act as map/set keys in projection and
-// dependency-checking code.
+// dependency-checking code. NaN sorts after every other double.
 #ifndef DBRE_RELATIONAL_VALUE_H_
 #define DBRE_RELATIONAL_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -78,13 +79,21 @@ class Value {
   static Result<Value> Parse(std::string_view text, DataType type,
                              NullHandling nulls = NullHandling::kLenient);
 
-  // NULL-first total order across type tags; used for container keys, not
-  // SQL comparison semantics.
+  // NULL-first total order across type tags; used for container keys and
+  // sorting, not SQL comparison semantics (sql/compare.h). It stays a
+  // strict weak order with NaN present: NaN sorts after every other double
+  // and all NaNs are equivalent under `<`, while `==` keeps each NaN its
+  // own value, as each NaN cell is its own code.
   friend bool operator==(const Value& a, const Value& b) {
     return a.data_ == b.data_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   friend bool operator<(const Value& a, const Value& b) {
+    const double* x = std::get_if<double>(&a.data_);
+    const double* y = std::get_if<double>(&b.data_);
+    if (x != nullptr && y != nullptr) {
+      return *x < *y || (std::isnan(*y) && !std::isnan(*x));
+    }
     return a.data_ < b.data_;
   }
 

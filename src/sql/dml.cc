@@ -1,85 +1,61 @@
 #include "sql/dml.h"
 
 #include <algorithm>
-#include <optional>
+#include <cstdint>
 #include <utility>
 
 #include "common/string_util.h"
+#include "sql/compare.h"
 #include "sql/token.h"
 
 namespace dbre::sql {
 namespace {
 
-// Numeric-coercing comparison mirroring the executor's CompareValues, but
-// total: incomparable types yield nullopt and the predicate is false.
-std::optional<int> Compare(const Value& a, const Value& b) {
-  if (a.is_int() && b.is_int()) {
-    return a.as_int() < b.as_int() ? -1 : (a.as_int() > b.as_int() ? 1 : 0);
-  }
-  if ((a.is_int() || a.is_real()) && (b.is_int() || b.is_real())) {
-    double da = a.is_int() ? static_cast<double>(a.as_int()) : a.as_real();
-    double db = b.is_int() ? static_cast<double>(b.as_int()) : b.as_real();
-    if (da < db) return -1;
-    if (da > db) return 1;
-    if (da == db) return 0;
-    return std::nullopt;  // NaN involved: no ordering, predicate false
-  }
-  if (a.is_text() && b.is_text()) {
-    int cmp = a.as_text().compare(b.as_text());
-    return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  }
-  if (a.is_bool() && b.is_bool()) {
-    return static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
-  }
-  return std::nullopt;
-}
-
-enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kIsNull, kIsNotNull };
-
-struct SimplePredicate {
+// One WHERE conjunct: `column op literal`, or `column IS [NOT] NULL`.
+struct Conjunct {
   size_t column = 0;
-  Op op = Op::kEq;
+  bool null_test = false;  // IS [NOT] NULL; `op` and `literal` unused
+  bool negated = false;    // IS NOT NULL
+  ComparisonOp op = ComparisonOp::kEq;
   Value literal;
 };
 
-bool PredicateMatches(const SimplePredicate& predicate,
-                      const EncodedTable::RowView& row) {
-  const Value& cell = row[predicate.column];
-  switch (predicate.op) {
-    case Op::kIsNull:
-      return cell.is_null();
-    case Op::kIsNotNull:
-      return !cell.is_null();
-    default:
-      break;
+// The rows satisfying every conjunct of `where`, ascending (all rows when
+// it is empty). Each conjunct is evaluated once per dictionary entry of its
+// column into a truth byte per code, plus one for the NULL lane, which only
+// IS NULL selects; one pass over the codes then keeps the rows whose every
+// byte is true. A comparison selects only on TRUE (sql/compare.h), so a
+// NULL or NaN cell never matches one.
+Result<std::vector<size_t>> SelectRows(const EncodedTable& extension,
+                                       const std::vector<Conjunct>& where) {
+  std::vector<const uint32_t*> codes;
+  std::vector<std::vector<uint8_t>> truth;
+  for (const Conjunct& conjunct : where) {
+    std::vector<uint8_t> table(extension.dict_size(conjunct.column) + 1,
+                               conjunct.null_test && conjunct.negated);
+    table.back() = conjunct.null_test && !conjunct.negated;
+    if (!conjunct.null_test) {
+      DBRE_RETURN_IF_ERROR(extension.ForEachDictValue(
+          conjunct.column, [&](uint32_t code, const Value& value) {
+            Result<Ternary> result =
+                Compare(conjunct.op, value, conjunct.literal);
+            table[code] = result.ok() && *result == Ternary::kTrue;
+          }));
+    }
+    codes.push_back(extension.codes(conjunct.column).data());
+    truth.push_back(std::move(table));
   }
-  if (cell.is_null() || predicate.literal.is_null()) return false;
-  std::optional<int> cmp = Compare(cell, predicate.literal);
-  if (!cmp.has_value()) return false;
-  switch (predicate.op) {
-    case Op::kEq:
-      return *cmp == 0;
-    case Op::kNe:
-      return *cmp != 0;
-    case Op::kLt:
-      return *cmp < 0;
-    case Op::kLe:
-      return *cmp <= 0;
-    case Op::kGt:
-      return *cmp > 0;
-    case Op::kGe:
-      return *cmp >= 0;
-    default:
-      return false;
+  std::vector<size_t> rows;
+  for (size_t row = 0; row < extension.num_rows(); ++row) {
+    bool selected = true;
+    for (size_t k = 0; selected && k < codes.size(); ++k) {
+      const uint32_t code = codes[k][row];
+      selected = truth[k][code == EncodedTable::kNullCode ? truth[k].size() - 1
+                                                          : code];
+    }
+    if (selected) rows.push_back(row);
   }
-}
-
-bool ConjunctionMatches(const std::vector<SimplePredicate>& where,
-                        const EncodedTable::RowView& row) {
-  for (const SimplePredicate& predicate : where) {
-    if (!PredicateMatches(predicate, row)) return false;
-  }
-  return true;
+  return rows;
 }
 
 struct Statement {
@@ -90,7 +66,7 @@ struct Statement {
   std::vector<ValueVector> insert_rows;  // kInsert
   std::vector<size_t> set_columns;       // kUpdate, sorted by parse order
   ValueVector set_values;                // kUpdate, parallel to set_columns
-  std::vector<SimplePredicate> where;    // kUpdate/kDelete; empty = all rows
+  std::vector<Conjunct> where;           // kUpdate/kDelete; empty = all rows
 };
 
 class DmlParser {
@@ -202,46 +178,46 @@ class DmlParser {
     return table;
   }
 
-  // predicate [AND predicate]* over `schema`; resolved to column indexes.
-  Result<std::vector<SimplePredicate>> ParseWhere(
-      const RelationSchema& schema) {
-    std::vector<SimplePredicate> where;
+  // conjunct [AND conjunct]* over `schema`; resolved to column indexes.
+  Result<std::vector<Conjunct>> ParseWhere(const RelationSchema& schema) {
+    std::vector<Conjunct> where;
     do {
-      SimplePredicate predicate;
+      Conjunct conjunct;
       DBRE_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
-      DBRE_ASSIGN_OR_RETURN(predicate.column, schema.AttributeIndex(name));
+      DBRE_ASSIGN_OR_RETURN(conjunct.column, schema.AttributeIndex(name));
       if (MatchKeyword("IS")) {
-        predicate.op = MatchKeyword("NOT") ? Op::kIsNotNull : Op::kIsNull;
+        conjunct.null_test = true;
+        conjunct.negated = MatchKeyword("NOT");
         DBRE_RETURN_IF_ERROR(ExpectKeyword("NULL"));
       } else {
         switch (Peek().type) {
           case TokenType::kEquals:
-            predicate.op = Op::kEq;
+            conjunct.op = ComparisonOp::kEq;
             break;
           case TokenType::kNotEquals:
-            predicate.op = Op::kNe;
+            conjunct.op = ComparisonOp::kNe;
             break;
           case TokenType::kLess:
-            predicate.op = Op::kLt;
+            conjunct.op = ComparisonOp::kLt;
             break;
           case TokenType::kLessEquals:
-            predicate.op = Op::kLe;
+            conjunct.op = ComparisonOp::kLe;
             break;
           case TokenType::kGreater:
-            predicate.op = Op::kGt;
+            conjunct.op = ComparisonOp::kGt;
             break;
           case TokenType::kGreaterEquals:
-            predicate.op = Op::kGe;
+            conjunct.op = ComparisonOp::kGe;
             break;
           default:
             return ErrorHere("expected comparison operator or IS [NOT] NULL");
         }
         ++pos_;
         DBRE_ASSIGN_OR_RETURN(
-            predicate.literal,
-            ParseLiteral(schema.attributes()[predicate.column].type));
+            conjunct.literal,
+            ParseLiteral(schema.attributes()[conjunct.column].type));
       }
-      where.push_back(std::move(predicate));
+      where.push_back(std::move(conjunct));
     } while (MatchKeyword("AND"));
     return where;
   }
@@ -397,14 +373,13 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
         stats.rows_inserted += statement.insert_rows.size();
         break;
       case Statement::Kind::kUpdate: {
-        const std::vector<SimplePredicate>& where = statement.where;
+        DBRE_ASSIGN_OR_RETURN(
+            std::vector<size_t> rows,
+            SelectRows(statement.table->extension(), statement.where));
         DBRE_ASSIGN_OR_RETURN(
             size_t updated,
-            statement.table->UpdateRows(
-                statement.set_columns, statement.set_values,
-                [&where](const EncodedTable::RowView& row) {
-                  return ConjunctionMatches(where, row);
-                }));
+            statement.table->UpdateRows(statement.set_columns,
+                                        statement.set_values, rows));
         mutation->updated += updated;
         stats.rows_updated += updated;
         if (updated > 0) {
@@ -419,13 +394,11 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
         break;
       }
       case Statement::Kind::kDelete: {
-        const std::vector<SimplePredicate>& where = statement.where;
         DBRE_ASSIGN_OR_RETURN(
-            size_t deleted,
-            statement.table->DeleteRows(
-                [&where](const EncodedTable::RowView& row) {
-                  return ConjunctionMatches(where, row);
-                }));
+            std::vector<size_t> rows,
+            SelectRows(statement.table->extension(), statement.where));
+        DBRE_ASSIGN_OR_RETURN(size_t deleted,
+                              statement.table->DeleteRows(rows));
         mutation->deleted += deleted;
         stats.rows_deleted += deleted;
         if (deleted > 0) mutation->structural = true;

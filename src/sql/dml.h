@@ -10,9 +10,12 @@
 //
 // where `conjunction` is `predicate [AND predicate]*` and a predicate is
 // `col op literal` (op one of = != <> < <= > >=) or `col IS [NOT] NULL`.
-// SQL NULL semantics: a comparison against a NULL cell is false (only
-// IS NULL / IS NOT NULL match NULLs), and comparing incomparable types is
-// false, never an error.
+// Literals parse at the column's declared type. Comparisons follow the
+// executor's rule (sql/compare.h): a row is selected only where every
+// predicate is true, so a NULL or NaN cell never matches a comparison
+// (only IS NULL / IS NOT NULL look at NULLs). Each predicate is evaluated
+// once per dictionary entry of its column, and one pass over the codes
+// selects the rows.
 //
 // Execution is two-phase: the whole script parses and validates first
 // (unknown tables/columns, literal types against declared types, NULL into

@@ -5,15 +5,14 @@
 // This executor makes that literal: it evaluates the parsed subset —
 // multi-table FROM with conjunctive/disjunctive WHERE, JOIN..ON, IN and
 // (correlated) EXISTS subqueries, DISTINCT, COUNT, INTERSECT/UNION/MINUS —
-// with standard SQL three-valued NULL semantics for comparisons.
+// with SQL three-valued logic: a comparison with a NULL or NaN operand is
+// unknown (sql/compare.h holds the one comparison rule, shared with DML).
 //
-// The reference implementation is a tuple-at-a-time nested-loop evaluator
-// over the catalog; it exists for fidelity and for tooling (the workbench,
-// tests cross-checking the algebra layer). Statements whose predicates
-// compile into per-dictionary-code ternary truth tables take a batched
-// columnar fast path over the table's encoded image instead — same
-// results, same errors, observable via dbre_executor_paths_total — and
-// fall back to the reference loop otherwise.
+// It is a tuple-at-a-time nested-loop evaluator over the catalog, kept
+// literal on purpose: it is the reference the algebra layer is
+// cross-checked against (tests/sql/executor_test.cc,
+// tests/workload/crosscheck_test.cc) and the subject of
+// bench/perf_executor. Nothing on the discovery path calls it.
 #ifndef DBRE_SQL_EXECUTOR_H_
 #define DBRE_SQL_EXECUTOR_H_
 
@@ -44,9 +43,6 @@ struct ResultSet {
 struct ExecutorOptions {
   // Safety valve for runaway cross products in tooling contexts; 0 = off.
   size_t max_intermediate_rows = 0;
-  // Forces the tuple-at-a-time reference enumeration. Results are
-  // identical either way; the crosscheck tests flip this to prove it.
-  bool disable_vectorized = false;
 };
 
 // Executes a parsed statement.
@@ -60,7 +56,8 @@ Result<ResultSet> ExecuteQuery(const Database& database,
                                const ExecutorOptions& options = {});
 
 // The paper's ‖·‖, computed through the executor:
-// SELECT COUNT(DISTINCT x1, ..., xn) FROM relation.
+// SELECT COUNT(DISTINCT x1, ..., xn) FROM relation, evaluated literally as
+// the number of NULL-free rows of SELECT DISTINCT x1, ..., xn.
 Result<size_t> CountDistinct(const Database& database,
                              const std::string& relation,
                              const std::vector<std::string>& attributes);

@@ -24,15 +24,14 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "service/transport.h"
+#include "support/serve_process.h"
 #include "workload/paper_example.h"
 
 namespace dbre::service {
@@ -42,105 +41,14 @@ namespace fs = std::filesystem;
 
 // --- daemon lifecycle -----------------------------------------------------
 
-// Owns a forked dbre_serve; the destructor SIGKILLs anything still running
-// so a failed assertion cannot leak a daemon holding the test output pipe.
-struct ServeProcess {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  ServeProcess() = default;
-  ServeProcess(ServeProcess&& other) noexcept
-      : pid(other.pid), port(other.port) {
-    other.pid = -1;
-  }
-  ServeProcess& operator=(ServeProcess&& other) noexcept {
-    std::swap(pid, other.pid);
-    std::swap(port, other.port);
-    return *this;
-  }
-  ~ServeProcess() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-
-  // Polls for the child's exit (it crashed on its own); SIGKILLs as a
-  // last resort so the harness never hangs on a wedged daemon. Returns
-  // the wait status.
-  int Reap() {
-    if (pid <= 0) return 0;
-    int wstatus = 0;
-    for (int i = 0; i < 500; ++i) {  // up to ~5s
-      pid_t done = waitpid(pid, &wstatus, WNOHANG);
-      if (done == pid) {
-        pid = -1;
-        return wstatus;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ADD_FAILURE() << "daemon did not exit after losing its connection";
-    kill(pid, SIGKILL);
-    waitpid(pid, &wstatus, 0);
-    pid = -1;
-    return wstatus;
-  }
-
-  void WaitExit() {
-    if (pid <= 0) return;
-    EXPECT_EQ(waitpid(pid, nullptr, 0), pid);
-    pid = -1;
-  }
-};
-
-// Spawns dbre_serve on an ephemeral port (failpoints, if any, ride in via
-// the environment — fork inherits it) and reads the chosen port.
-ServeProcess StartServe(const std::string& data_dir, bool paged = false) {
-  ServeProcess process;
-  int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
-    ADD_FAILURE() << "pipe() failed";
-    return process;
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
-    ADD_FAILURE() << "fork() failed";
-    return process;
-  }
-  if (pid == 0) {
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    int devnull = open("/dev/null", O_WRONLY);
-    if (devnull >= 0) dup2(devnull, STDERR_FILENO);
-    // Tiny segments force constant rotation, so rotate/open failpoints
-    // actually fire within a short session. Paged schedules add a small
-    // buffer pool so loads go through snapshot + page-backed adoption.
-    if (paged) {
-      execl(DBRE_SERVE_BINARY, "dbre_serve", "--port", "0", "--data-dir",
-            data_dir.c_str(), "--fsync-batch", "1", "--segment-bytes",
-            "512", "--buffer-pool-mb", "16",
-            static_cast<char*>(nullptr));
-    } else {
-      execl(DBRE_SERVE_BINARY, "dbre_serve", "--port", "0", "--data-dir",
-            data_dir.c_str(), "--fsync-batch", "1", "--segment-bytes",
-            "512", static_cast<char*>(nullptr));
-    }
-    _exit(127);  // exec failed
-  }
-  close(out_pipe[1]);
-  process.pid = pid;
-  FILE* out = fdopen(out_pipe[0], "r");
-  char line[64] = {0};
-  if (out == nullptr || fgets(line, sizeof(line), out) == nullptr) {
-    ADD_FAILURE() << "dbre_serve printed no port";
-    if (out != nullptr) fclose(out);
-    return process;
-  }
-  fclose(out);
-  process.port = static_cast<uint16_t>(std::strtoul(line, nullptr, 10));
-  EXPECT_GT(process.port, 0) << "line: " << line;
-  return process;
+// Tiny segments force constant rotation, so rotate/open failpoints
+// actually fire within a short session. Paged schedules add a small buffer
+// pool so loads go through snapshot + page-backed adoption.
+ServeProcess StartChaosServe(const std::string& data_dir, bool paged = false) {
+  ServeOptions options;
+  options.segment_bytes = 512;
+  options.paged = paged;
+  return StartServe(data_dir, options);
 }
 
 // --- a client that treats daemon death as data, not test failure ----------
@@ -398,7 +306,7 @@ TEST_P(ChaosTortureTest, RecoversByteIdenticallyOrDegradesCleanly) {
   ASSERT_EQ(setenv("DBRE_FAILPOINTS", schedule.spec.c_str(), 1), 0);
   ASSERT_EQ(
       setenv("DBRE_FAILPOINT_SEED", std::to_string(seed).c_str(), 1), 0);
-  ServeProcess daemon = StartServe(data_dir.string(), schedule.paged);
+  ServeProcess daemon = StartChaosServe(data_dir.string(), schedule.paged);
   unsetenv("DBRE_FAILPOINTS");
   unsetenv("DBRE_FAILPOINT_SEED");
   ASSERT_GT(daemon.port, 0);
@@ -426,7 +334,7 @@ TEST_P(ChaosTortureTest, RecoversByteIdenticallyOrDegradesCleanly) {
     }
     ASSERT_LE(++restarts, 4) << "too many restarts for one schedule";
 
-    daemon = StartServe(data_dir.string(), schedule.paged);
+    daemon = StartChaosServe(data_dir.string(), schedule.paged);
     ASSERT_GT(daemon.port, 0);
     client = ChaosClient{};
     ASSERT_TRUE(client.Connect(daemon.port));
@@ -505,7 +413,7 @@ TEST_P(ChaosMutationTest, MutationReplayConvergesAfterSigkill) {
   std::string reference;
   {
     fs::path dir = base / "reference";
-    ServeProcess daemon = StartServe(dir.string());
+    ServeProcess daemon = StartChaosServe(dir.string());
     ASSERT_GT(daemon.port, 0);
     ChaosClient client;
     ASSERT_TRUE(client.Connect(daemon.port));
@@ -527,7 +435,7 @@ TEST_P(ChaosMutationTest, MutationReplayConvergesAfterSigkill) {
   // the same data dir with recovery doing all the work.
   {
     fs::path dir = base / "victim";
-    ServeProcess daemon = StartServe(dir.string());
+    ServeProcess daemon = StartChaosServe(dir.string());
     ASSERT_GT(daemon.port, 0);
     ChaosClient client;
     ASSERT_TRUE(client.Connect(daemon.port));
@@ -546,7 +454,7 @@ TEST_P(ChaosMutationTest, MutationReplayConvergesAfterSigkill) {
     kill(daemon.pid, SIGKILL);
     daemon.Reap();
 
-    daemon = StartServe(dir.string());
+    daemon = StartChaosServe(dir.string());
     ASSERT_GT(daemon.port, 0);
     client = ChaosClient{};
     ASSERT_TRUE(client.Connect(daemon.port));

@@ -5,17 +5,10 @@
 #ifndef DBRE_TESTS_CLUSTER_CLUSTER_TEST_UTIL_H_
 #define DBRE_TESTS_CLUSTER_CLUSTER_TEST_UTIL_H_
 
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +16,9 @@
 #include "cluster/service_transport.h"
 #include "paper_session_util.h"
 #include "service/server.h"
+#ifdef DBRE_SERVE_BINARY
+#include "support/serve_process.h"
+#endif
 
 namespace dbre::cluster {
 
@@ -73,107 +69,13 @@ inline size_t CountPaperQuestions(const service::PaperInputs& inputs) {
 }
 
 #ifdef DBRE_SERVE_BINARY
-// Owns a forked dbre_serve. The destructor SIGKILLs anything still
-// running so a failed assertion cannot leak a daemon.
-struct ServeProcess {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  ServeProcess() = default;
-  ServeProcess(ServeProcess&& other) noexcept
-      : pid(other.pid), port(other.port) {
-    other.pid = -1;
-  }
-  ServeProcess& operator=(ServeProcess&& other) noexcept {
-    std::swap(pid, other.pid);
-    std::swap(port, other.port);
-    return *this;
-  }
-  ~ServeProcess() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-
-  // SIGSTOP and wait until the kernel reports the process stopped — the
-  // moral equivalent of a network partition or a very long GC pause: the
-  // daemon is alive, holds its sockets and fds, but answers nothing.
-  void Pause() {
-    ASSERT_GT(pid, 0);
-    ASSERT_EQ(kill(pid, SIGSTOP), 0);
-    int wstatus = 0;
-    ASSERT_EQ(waitpid(pid, &wstatus, WUNTRACED), pid);
-    ASSERT_TRUE(WIFSTOPPED(wstatus));
-  }
-
-  // SIGCONT: the partition heals and the daemon resumes exactly where it
-  // was — mid-append, mid-run, holding whatever epochs it held.
-  void Resume() {
-    ASSERT_GT(pid, 0);
-    ASSERT_EQ(kill(pid, SIGCONT), 0);
-  }
-
-  // SIGKILL + reap, asserting the daemon really died by signal (no
-  // destructors, no flushes).
-  void KillHard() {
-    ASSERT_GT(pid, 0);
-    ASSERT_EQ(kill(pid, SIGKILL), 0);
-    int wstatus = 0;
-    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-    pid = -1;
-    ASSERT_TRUE(WIFSIGNALED(wstatus));
-    EXPECT_EQ(WTERMSIG(wstatus), SIGKILL);
-  }
-
-  void WaitExit() {
-    if (pid <= 0) return;
-    EXPECT_EQ(waitpid(pid, nullptr, 0), pid);
-    pid = -1;
-  }
-};
-
-// Spawns `dbre_serve --worker-id <id> --data-dir <dir> --fsync-batch 1`
-// on an ephemeral port and reads the chosen port from its first stdout
-// line. stderr goes to /dev/null so the daemon never holds the gtest
-// output pipe open past the test.
+// Spawns `dbre_serve --worker-id <id> --data-dir <dir> --fsync-batch 1` on
+// an ephemeral port (tests/support/serve_process.h).
 inline ServeProcess StartServeWorker(const std::string& worker_id,
                                      const std::string& data_dir) {
-  ServeProcess process;
-  int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
-    ADD_FAILURE() << "pipe() failed";
-    return process;
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
-    ADD_FAILURE() << "fork() failed";
-    return process;
-  }
-  if (pid == 0) {
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    int devnull = open("/dev/null", O_WRONLY);
-    if (devnull >= 0) dup2(devnull, STDERR_FILENO);
-    execl(DBRE_SERVE_BINARY, "dbre_serve", "--port", "0", "--worker-id",
-          worker_id.c_str(), "--data-dir", data_dir.c_str(),
-          "--fsync-batch", "1", static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  close(out_pipe[1]);
-  process.pid = pid;
-  FILE* out = fdopen(out_pipe[0], "r");
-  char line[64] = {0};
-  if (out == nullptr || fgets(line, sizeof(line), out) == nullptr) {
-    ADD_FAILURE() << "dbre_serve printed no port";
-    if (out != nullptr) fclose(out);
-    return process;
-  }
-  fclose(out);  // the daemon writes nothing else to stdout
-  process.port = static_cast<uint16_t>(std::strtoul(line, nullptr, 10));
-  EXPECT_GT(process.port, 0) << "line: " << line;
-  return process;
+  ServeOptions options;
+  options.worker_id = worker_id;
+  return StartServe(data_dir, options);
 }
 #endif  // DBRE_SERVE_BINARY
 

@@ -256,7 +256,8 @@ TEST(RestructCrosscheckTest, InPlaceUpdateOfWarmKey) {
           .ok());
   auto updated = orders->UpdateRows(
       {1}, {Value::Int(1000)},
-      [](const EncodedTable::RowView& row) { return row[0].as_int() <= 5; });
+      RowsWhere(*orders,
+                [](const ValueVector& row) { return row[0].as_int() <= 5; }));
   ASSERT_TRUE(updated.ok()) << updated.status();
   ASSERT_EQ(*updated, 5u);
   ExpectMatchesReference(

@@ -76,15 +76,14 @@ TEST_F(PagedMutationTest, DirectMutationsFailPrecondition) {
   Table table = MakeTable(500);
   MakePaged(&table);
 
-  auto updated = table.UpdateRows({1}, {Value::Text("x")},
-                                  [](const EncodedTable::RowView&) {
-                                    return true;
-                                  });
+  auto updated = table.UpdateRows(
+      {1}, {Value::Text("x")},
+      RowsWhere(table, [](const ValueVector&) { return true; }));
   ASSERT_FALSE(updated.ok());
   EXPECT_EQ(updated.status().code(), StatusCode::kFailedPrecondition);
 
-  auto deleted =
-      table.DeleteRows([](const EncodedTable::RowView&) { return true; });
+  auto deleted = table.DeleteRows(
+      RowsWhere(table, [](const ValueVector&) { return true; }));
   ASSERT_FALSE(deleted.ok());
   EXPECT_EQ(deleted.status().code(), StatusCode::kFailedPrecondition);
 
@@ -109,7 +108,8 @@ TEST_F(PagedMutationTest, EnsureMaterializedThenMutateWorks) {
 
   auto updated = table.UpdateRows(
       {1}, {Value::Text("mutated")},
-      [](const EncodedTable::RowView& row) { return row[0].as_int() < 10; });
+      RowsWhere(table,
+                [](const ValueVector& row) { return row[0].as_int() < 10; }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 10u);
   EXPECT_EQ(Rows(table)[0][1].as_text(), "mutated");

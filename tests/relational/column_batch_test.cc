@@ -1,18 +1,15 @@
-// The batch kernels are the executor's and the cache's inner loops; each
-// is pinned against a scalar reference over randomized inputs, including
-// the batch-boundary sizes (kBatchSize ± 1) and all-NULL/empty lanes.
+// The batch kernels are the query cache's inner loops; each is pinned
+// against a scalar reference over randomized inputs, including the
+// batch-boundary sizes (kBatchSize ± 1).
 #include "relational/column_batch.h"
 
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "relational/encoded_table.h"
-
 namespace dbre {
 namespace {
-
-using batch::Truth;
 
 TEST(BatchIteratorTest, CoversBoundarySizes) {
   for (size_t rows : {size_t{0}, size_t{1}, batch::kBatchSize - 1,
@@ -32,94 +29,6 @@ TEST(BatchIteratorTest, CoversBoundarySizes) {
     EXPECT_EQ(total, rows);
     EXPECT_EQ(batches, (rows + batch::kBatchSize - 1) / batch::kBatchSize);
   }
-}
-
-TEST(TruthKernelsTest, KleeneTablesMatchDefinition) {
-  const Truth values[] = {Truth::kFalse, Truth::kTrue, Truth::kUnknown};
-  auto and_ref = [](Truth a, Truth b) {
-    if (a == Truth::kFalse || b == Truth::kFalse) return Truth::kFalse;
-    if (a == Truth::kTrue && b == Truth::kTrue) return Truth::kTrue;
-    return Truth::kUnknown;
-  };
-  auto or_ref = [](Truth a, Truth b) {
-    if (a == Truth::kTrue || b == Truth::kTrue) return Truth::kTrue;
-    if (a == Truth::kFalse && b == Truth::kFalse) return Truth::kFalse;
-    return Truth::kUnknown;
-  };
-  for (Truth a : values) {
-    for (Truth b : values) {
-      Truth lhs[1] = {a}, rhs[1] = {b}, out[1];
-      batch::TruthAnd(lhs, rhs, 1, out);
-      EXPECT_EQ(out[0], and_ref(a, b));
-      batch::TruthOr(lhs, rhs, 1, out);
-      EXPECT_EQ(out[0], or_ref(a, b));
-    }
-    Truth in[1] = {a}, out[1];
-    batch::TruthNot(in, 1, out);
-    Truth expected = a == Truth::kUnknown
-                         ? Truth::kUnknown
-                         : (a == Truth::kTrue ? Truth::kFalse : Truth::kTrue);
-    EXPECT_EQ(out[0], expected);
-  }
-}
-
-TEST(TruthKernelsTest, AndMayAliasOutput) {
-  std::vector<Truth> a = {Truth::kTrue, Truth::kUnknown, Truth::kFalse};
-  std::vector<Truth> b = {Truth::kTrue, Truth::kTrue, Truth::kTrue};
-  batch::TruthAnd(a.data(), b.data(), a.size(), a.data());
-  EXPECT_EQ(a, (std::vector<Truth>{Truth::kTrue, Truth::kUnknown,
-                                   Truth::kFalse}));
-}
-
-TEST(GatherTruthTest, RoutesNullsThroughTheNullLane) {
-  const uint32_t null_code = EncodedTable::kNullCode;
-  std::vector<uint32_t> codes = {0, 2, null_code, 1, null_code};
-  std::vector<Truth> code_truth = {Truth::kTrue, Truth::kFalse,
-                                   Truth::kUnknown};
-  std::vector<Truth> out(codes.size());
-  batch::GatherTruth(codes.data(), codes.size(), code_truth.data(),
-                     Truth::kUnknown, null_code, out.data());
-  EXPECT_EQ(out, (std::vector<Truth>{Truth::kTrue, Truth::kUnknown,
-                                     Truth::kUnknown, Truth::kFalse,
-                                     Truth::kUnknown}));
-}
-
-TEST(SelectTrueTest, CompactsAbsoluteRowIds) {
-  for (size_t n : {size_t{0}, size_t{5}, batch::kBatchSize - 1,
-                   batch::kBatchSize}) {
-    std::mt19937 rng(static_cast<unsigned>(n + 1));
-    std::vector<Truth> truth(n);
-    std::vector<uint32_t> expected;
-    const size_t base = 10000;
-    for (size_t i = 0; i < n; ++i) {
-      truth[i] = static_cast<Truth>(rng() % 3);
-      if (truth[i] == Truth::kTrue) {
-        expected.push_back(static_cast<uint32_t>(base + i));
-      }
-    }
-    std::vector<uint32_t> selected(n + 1, 0xDEAD);
-    size_t count = batch::SelectTrue(truth.data(), n, base, selected.data());
-    ASSERT_EQ(count, expected.size());
-    for (size_t i = 0; i < count; ++i) EXPECT_EQ(selected[i], expected[i]);
-  }
-}
-
-TEST(GatherKeysTest, GathersAndCombines) {
-  const uint32_t null_code = EncodedTable::kNullCode;
-  std::vector<uint64_t> code_keys = {11, 22, 33};
-  std::vector<uint32_t> codes = {2, null_code, 0};
-  std::vector<uint64_t> out(codes.size());
-  batch::GatherKeys(codes.data(), codes.size(), code_keys.data(),
-                    /*null_key=*/7, null_code, out.data());
-  EXPECT_EQ(out, (std::vector<uint64_t>{33, 7, 11}));
-  // CombineKeys chains SketchHashCombine per lane.
-  std::vector<uint64_t> inout = {100, 200, 300};
-  std::vector<uint64_t> expected = {
-      SketchHashCombine(100, 33), SketchHashCombine(200, 7),
-      SketchHashCombine(300, 11)};
-  batch::CombineKeys(codes.data(), codes.size(), code_keys.data(),
-                     /*null_key=*/7, null_code, inout.data());
-  EXPECT_EQ(inout, expected);
 }
 
 TEST(ProbeKernelsTest, MatchScalarMembershipUnderRandomKeys) {
@@ -160,7 +69,9 @@ TEST(ProbeKernelsTest, MatchScalarMembershipUnderRandomKeys) {
       EXPECT_EQ(bloom_hit[i] != 0, expected);
       expected_bloom += expected ? 1 : 0;
       // Zero false negatives through the batched path too.
-      if (set.Contains(keys[i])) EXPECT_NE(bloom_hit[i], 0);
+      if (set.Contains(keys[i])) {
+        EXPECT_NE(bloom_hit[i], 0);
+      }
     }
     EXPECT_EQ(bloom_hits, expected_bloom);
   }

@@ -109,7 +109,8 @@ TEST(TableMutationTest, UpdateRowsRewritesMatchingRowsOnly) {
   size_t label_col = 1;
   auto updated = table.UpdateRows(
       {label_col}, {Value::Text("flagged")},
-      [](const EncodedTable::RowView& row) { return row[0].as_int() <= 10; });
+      RowsWhere(table,
+                [](const ValueVector& row) { return row[0].as_int() <= 10; }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 10u);
 
@@ -128,9 +129,9 @@ TEST(TableMutationTest, UpdateMatchingNothingLeavesCacheShared) {
 
   auto updated = table.UpdateRows(
       {1}, {Value::Text("never")},
-      [](const EncodedTable::RowView& row) {
+      RowsWhere(table, [](const ValueVector& row) {
         return row[0].as_int() > 1'000'000;
-      });
+      }));
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(*updated, 0u);
   EXPECT_FALSE(table.has_pending_delta());
@@ -145,9 +146,9 @@ TEST(TableMutationTest, DeleteRowsIsStructural) {
   ASSERT_TRUE(table.query_cache().ok());
 
   auto deleted = table.DeleteRows(
-      [](const EncodedTable::RowView& row) {
+      RowsWhere(table, [](const ValueVector& row) {
         return row[0].as_int() % 3 == 0;
-      });
+      }));
   ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
   EXPECT_EQ(*deleted, 40u);
   EXPECT_EQ(Rows(table).size(), 80u);
@@ -166,20 +167,33 @@ TEST(TableMutationTest, UpdateValidatesTypesAndNotNullUpFront) {
   EXPECT_TRUE(table.Insert({Value::Int(1), Value::Text("a")}).ok());
 
   // NULL into a not-null attribute fails before any row changes.
-  auto bad_null = table.UpdateRows({1}, {Value::Null()},
-                                   [](const EncodedTable::RowView&) {
-                                     return true;
-                                   });
+  auto bad_null = table.UpdateRows(
+      {1}, {Value::Null()},
+      RowsWhere(table, [](const ValueVector&) { return true; }));
   EXPECT_FALSE(bad_null.ok());
   EXPECT_EQ(Rows(table)[0][1].as_text(), "a");
 
   // Type mismatch fails the same way.
-  auto bad_type = table.UpdateRows({0}, {Value::Text("oops")},
-                                   [](const EncodedTable::RowView&) {
-                                     return true;
-                                   });
+  auto bad_type = table.UpdateRows(
+      {0}, {Value::Text("oops")},
+      RowsWhere(table, [](const ValueVector&) { return true; }));
   EXPECT_FALSE(bad_type.ok());
   EXPECT_EQ(Rows(table)[0][0].as_int(), 1);
+}
+
+// The mutators take a selection: row ids strictly ascending, each in
+// range. Anything else fails invalid_argument and changes nothing.
+TEST(TableMutationTest, SelectionMustAscendWithinTheTable) {
+  Table table = MakeTable("R", 1, 5);
+  const std::vector<ValueVector> before = Rows(table);
+  for (const std::vector<size_t>& rows : std::vector<std::vector<size_t>>{
+           {5}, {0, 7}, {2, 1}, {3, 3}}) {
+    auto updated = table.UpdateRows({1}, {Value::Text("x")}, rows);
+    EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+    auto deleted = table.DeleteRows(rows);
+    EXPECT_EQ(deleted.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(Rows(table), before);
 }
 
 // Satellite regression: two sessions intern the same extension; mutating
@@ -197,7 +211,8 @@ TEST(TableMutationTest, MutatingInternedTableDetachesFromRegistry) {
 
   auto updated = second.UpdateRows(
       {1}, {Value::Text("mutated")},
-      [](const EncodedTable::RowView& row) { return row[0].as_int() == 1; });
+      RowsWhere(second,
+                [](const ValueVector& row) { return row[0].as_int() == 1; }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 1u);
 
@@ -250,7 +265,8 @@ TEST(TableMutationTest, SketchesRebuildAfterMutation) {
   // and membership bits are now wrong for most of the column.
   auto updated = table.UpdateRows(
       {0}, {Value::Int(7)},
-      [](const EncodedTable::RowView& row) { return row[0].as_int() > 10; });
+      RowsWhere(table,
+                [](const ValueVector& row) { return row[0].as_int() > 10; }));
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(*updated, 140u);
 
@@ -316,7 +332,7 @@ Table LabelTable(const std::vector<std::string>& labels) {
   return table;
 }
 
-bool IdIs(const EncodedTable::RowView& row, int64_t id) {
+bool IdIs(const ValueVector& row, int64_t id) {
   return row[0].as_int() == id;
 }
 
@@ -325,7 +341,7 @@ TEST(TableMutationTest, UpdateRemovingLastOccurrenceShrinksDictionary) {
   ASSERT_TRUE(table.query_cache().ok());
   auto updated = table.UpdateRows(
       {1}, {Value::Text("b")},
-      [](const EncodedTable::RowView& row) { return IdIs(row, 2); });
+      RowsWhere(table, [](const ValueVector& row) { return IdIs(row, 2); }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 1u);
   EXPECT_EQ(table.extension().dict_size(1), 2u);  // "c" is gone
@@ -339,7 +355,7 @@ TEST(TableMutationTest, UpdateMovingFirstAppearanceEarlierRenumbers) {
   // "d" first appears in row 3; writing it into row 0 makes it code 0.
   auto updated = table.UpdateRows(
       {1}, {Value::Text("d")},
-      [](const EncodedTable::RowView& row) { return IdIs(row, 0); });
+      RowsWhere(table, [](const ValueVector& row) { return IdIs(row, 0); }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(table.extension().codes(1),
             (std::vector<uint32_t>{0, 1, 2, 0}));
@@ -352,7 +368,7 @@ TEST(TableMutationTest, DeleteOfFirstRowRenumbers) {
   Table table = LabelTable({"a", "b", "a", "c"});
   ASSERT_TRUE(table.query_cache().ok());
   auto deleted = table.DeleteRows(
-      [](const EncodedTable::RowView& row) { return IdIs(row, 0); });
+      RowsWhere(table, [](const ValueVector& row) { return IdIs(row, 0); }));
   ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
   EXPECT_EQ(*deleted, 1u);
   EXPECT_EQ(table.extension().Decode(1, 0), Value::Text("b"));
@@ -362,9 +378,12 @@ TEST(TableMutationTest, DeleteOfFirstRowRenumbers) {
 
 TEST(TableMutationTest, InsertOfPreviouslyDeletedValueGetsFreshCode) {
   Table table = LabelTable({"a", "gone", "b"});
-  ASSERT_TRUE(table.DeleteRows([](const EncodedTable::RowView& row) {
-                     return row[1].as_text() == "gone";
-                   }).ok());
+  ASSERT_TRUE(table
+                  .DeleteRows(RowsWhere(table,
+                                        [](const ValueVector& row) {
+                                          return row[1].as_text() == "gone";
+                                        }))
+                  .ok());
   ASSERT_TRUE(table.query_cache().ok());
   ASSERT_TRUE(table.Insert({Value::Int(9), Value::Text("gone")}).ok());
   EXPECT_EQ(table.extension().codes(1), (std::vector<uint32_t>{0, 1, 2}));
@@ -383,14 +402,18 @@ TEST(TableMutationTest, MutatingInternedTableLeavesCanonicalCodesUntouched) {
 
   ASSERT_TRUE(session
                   .UpdateRows({1}, {Value::Text("c")},
-                              [](const EncodedTable::RowView& row) {
-                                return IdIs(row, 0);
-                              })
+                              RowsWhere(session,
+                                        [](const ValueVector& row) {
+                                          return IdIs(row, 0);
+                                        }))
                   .ok());
   ASSERT_TRUE(session.Insert({Value::Int(7), Value::Text("z")}).ok());
-  ASSERT_TRUE(session.DeleteRows([](const EncodedTable::RowView& row) {
-                       return IdIs(row, 1);
-                     }).ok());
+  ASSERT_TRUE(session
+                  .DeleteRows(RowsWhere(session,
+                                        [](const ValueVector& row) {
+                                          return IdIs(row, 1);
+                                        }))
+                  .ok());
 
   EXPECT_EQ(canonical.extension().codes(1), before);
   EXPECT_EQ(Rows(canonical), rows_before);
@@ -412,7 +435,7 @@ TEST(TableMutationTest, UpdateToNaNGivesEveryCellItsOwnCode) {
   // NaN never equals anything, so the three NaNs are three distinct values.
   auto updated = table.UpdateRows(
       {1}, {Value::Real(std::nan(""))},
-      [](const EncodedTable::RowView& row) { return !IdIs(row, 1); });
+      RowsWhere(table, [](const ValueVector& row) { return !IdIs(row, 1); }));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 3u);
   EXPECT_EQ(table.extension().codes(1),

@@ -1,5 +1,9 @@
 #include "relational/value.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dbre {
@@ -31,6 +35,51 @@ TEST(ValueTest, OrderingIsTotal) {
   EXPECT_LT(Value::Null(), Value::Int(0));  // NULL first
   EXPECT_LT(Value::Int(1), Value::Int(2));
   EXPECT_LT(Value::Text("a"), Value::Text("b"));
+}
+
+// `<` must stay a strict weak order with NaN present, or std::sort over
+// Values (SELECT DISTINCT, set operations, Restruct's dictionary ranks) is
+// undefined.
+TEST(ValueTest, OrderIsStrictWeakWithNaN) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> values = {
+      Value::Null(),
+      Value::Int(-3), Value::Int(0), Value::Int(7),
+      Value::Real(nan), Value::Real(-inf), Value::Real(-1.5),
+      Value::Real(-0.0), Value::Real(0.0), Value::Real(2.5),
+      Value::Real(inf), Value::Real(-nan),
+      Value::Boolean(false), Value::Boolean(true),
+      Value::Text(""), Value::Text("b")};
+  auto equivalent = [](const Value& a, const Value& b) {
+    return !(a < b) && !(b < a);
+  };
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Value& a = values[i];
+    EXPECT_FALSE(a < a) << "irreflexive: " << i;
+    for (size_t j = 0; j < values.size(); ++j) {
+      const Value& b = values[j];
+      EXPECT_FALSE(a < b && b < a) << "asymmetric: " << i << ", " << j;
+      for (size_t k = 0; k < values.size(); ++k) {
+        const Value& c = values[k];
+        if (a < b && b < c) {
+          EXPECT_TRUE(a < c) << "transitive: " << i << ", " << j << ", " << k;
+        }
+        if (equivalent(a, b) && equivalent(b, c)) {
+          EXPECT_TRUE(equivalent(a, c))
+              << "equivalence transitive: " << i << ", " << j << ", " << k;
+        }
+      }
+    }
+  }
+  // NaN sorts after every other double, and all NaNs are equivalent.
+  EXPECT_LT(Value::Real(inf), Value::Real(nan));
+  EXPECT_LT(Value::Real(nan), Value::Boolean(false));
+  EXPECT_TRUE(equivalent(Value::Real(nan), Value::Real(-nan)));
+  EXPECT_TRUE(equivalent(Value::Real(-0.0), Value::Real(0.0)));
+  // `==` is unchanged: each NaN is its own value.
+  EXPECT_NE(Value::Real(nan), Value::Real(nan));
+  EXPECT_EQ(Value::Real(-0.0), Value::Real(0.0));
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {

@@ -3,111 +3,21 @@
 // journal's own write/fsync discipline guarantees — and restarted over the
 // same --data-dir. The restarted daemon must resume the run and finish
 // with a report byte-identical to an uninterrupted session.
-#include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "paper_session_util.h"
 #include "service/server.h"
+#include "support/serve_process.h"
 #include "workload/paper_example.h"
 
 namespace dbre::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Owns a forked dbre_serve. The destructor SIGKILLs anything still
-// running so a failed assertion cannot leak a daemon (which would also
-// wedge ctest: the daemon holds the test's captured-output pipe open).
-struct ServeProcess {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  ServeProcess() = default;
-  ServeProcess(ServeProcess&& other) noexcept
-      : pid(other.pid), port(other.port) {
-    other.pid = -1;
-  }
-  ServeProcess& operator=(ServeProcess&& other) noexcept {
-    std::swap(pid, other.pid);
-    std::swap(port, other.port);
-    return *this;
-  }
-  ~ServeProcess() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-    }
-  }
-
-  // SIGKILL + reap, asserting the daemon really died by signal (it had no
-  // chance to flush or run destructors).
-  void KillHard() {
-    ASSERT_GT(pid, 0);
-    ASSERT_EQ(kill(pid, SIGKILL), 0);
-    int wstatus = 0;
-    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
-    pid = -1;
-    ASSERT_TRUE(WIFSIGNALED(wstatus));
-    EXPECT_EQ(WTERMSIG(wstatus), SIGKILL);
-  }
-
-  // Reaps a daemon expected to exit on its own (after `shutdown`).
-  void WaitExit() {
-    if (pid <= 0) return;
-    EXPECT_EQ(waitpid(pid, nullptr, 0), pid);
-    pid = -1;
-  }
-};
-
-// Spawns dbre_serve on an ephemeral port and reads the chosen port from
-// its first stdout line. The child's stderr goes to /dev/null so the
-// daemon never holds the gtest output pipe open past the test.
-ServeProcess StartServe(const std::string& data_dir) {
-  ServeProcess process;
-  int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
-    ADD_FAILURE() << "pipe() failed";
-    return process;
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
-    ADD_FAILURE() << "fork() failed";
-    return process;
-  }
-  if (pid == 0) {
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    int devnull = open("/dev/null", O_WRONLY);
-    if (devnull >= 0) dup2(devnull, STDERR_FILENO);
-    execl(DBRE_SERVE_BINARY, "dbre_serve", "--port", "0", "--data-dir",
-          data_dir.c_str(), "--fsync-batch", "1",
-          static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  close(out_pipe[1]);
-  process.pid = pid;
-  FILE* out = fdopen(out_pipe[0], "r");
-  char line[64] = {0};
-  if (out == nullptr || fgets(line, sizeof(line), out) == nullptr) {
-    ADD_FAILURE() << "dbre_serve printed no port";
-    if (out != nullptr) fclose(out);
-    return process;
-  }
-  fclose(out);  // the daemon writes nothing else to stdout
-  process.port = static_cast<uint16_t>(std::strtoul(line, nullptr, 10));
-  EXPECT_GT(process.port, 0) << "line: " << line;
-  return process;
-}
 
 size_t CountPaperQuestions(const PaperInputs& inputs) {
   Server server;

@@ -1,6 +1,7 @@
 // The DML front end (sql/dml.h): grammar, SQL NULL comparison semantics,
 // two-phase parse-validate-then-apply atomicity, and the per-table
 // mutation stats the incremental driver keys on.
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,66 @@ TEST(DmlTest, IsNotNullAndOrderingOperators) {
   const Table& emp = Get(database, "emp");
   EXPECT_EQ(Rows(emp)[0][2].as_int(), 99);
   EXPECT_EQ(Rows(emp)[2][2].as_int(), 98);
+}
+
+// A comparison with a NaN cell is never true, whatever the operator, so
+// UPDATE and DELETE never select the NaN row through one — nor through a
+// NaN literal. IS NOT NULL does select it: NaN is a value, not NULL.
+TEST(DmlTest, ComparisonsNeverSelectANaNCell) {
+  auto make = [] {
+    Database database;
+    RelationSchema t("t");
+    EXPECT_TRUE(t.AddAttribute("id", DataType::kInt64, /*not_null=*/true).ok());
+    EXPECT_TRUE(t.AddAttribute("d", DataType::kDouble).ok());
+    EXPECT_TRUE(t.AddAttribute("tag", DataType::kString).ok());
+    Table table(t);
+    InsertRows(&table,
+               {{Value::Int(1), Value::Real(1.0), Value::Text("a")},
+                {Value::Int(2), Value::Real(std::nan("")), Value::Text("a")},
+                {Value::Int(3), Value::Real(2.0), Value::Text("a")}});
+    EXPECT_TRUE(database.AddTable(std::move(table)).ok());
+    return database;
+  };
+  auto has_nan_row = [](const Database& database) {
+    for (const ValueVector& row : Rows(Get(database, "t"))) {
+      if (row[0].as_int() == 2) return true;
+    }
+    return false;
+  };
+  struct Case {
+    const char* op;
+    size_t matches;  // of 1.0 and 2.0 against 1.5
+  };
+  const Case cases[] = {{"=", 0},  {"<>", 2}, {"<", 1},
+                        {"<=", 1}, {">", 1},  {">=", 1}};
+  for (const Case& c : cases) {
+    for (const std::string literal : {"1.5", "'nan'"}) {
+      const size_t expected = literal == "1.5" ? c.matches : 0;
+      const std::string where = " WHERE d " + std::string(c.op) + " " +
+                                literal + ";";
+      Database database = make();
+      auto updated =
+          ExecuteDmlScript("UPDATE t SET tag = 'x'" + where, &database);
+      ASSERT_TRUE(updated.ok()) << where << ": " << updated.status();
+      EXPECT_EQ(updated->rows_updated, expected) << where;
+      EXPECT_EQ(Rows(Get(database, "t"))[1][2].as_text(), "a") << where;
+      auto deleted = ExecuteDmlScript("DELETE FROM t" + where, &database);
+      ASSERT_TRUE(deleted.ok()) << where << ": " << deleted.status();
+      EXPECT_EQ(deleted->rows_deleted, expected) << where;
+      EXPECT_TRUE(has_nan_row(database)) << where;
+    }
+  }
+  Database database = make();
+  auto updated = ExecuteDmlScript(
+      "UPDATE t SET tag = 'x' WHERE d IS NOT NULL;", &database);
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  EXPECT_EQ(updated->rows_updated, 3u);
+  EXPECT_EQ(Rows(Get(database, "t"))[1][2].as_text(), "x");
+  auto deleted =
+      ExecuteDmlScript("DELETE FROM t WHERE d IS NOT NULL;", &database);
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_EQ(deleted->rows_deleted, 3u);
+  EXPECT_FALSE(has_nan_row(database));
 }
 
 TEST(DmlTest, ScriptIsAtomicAcrossStatements) {

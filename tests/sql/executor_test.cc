@@ -1,5 +1,11 @@
 #include "sql/executor.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sql/ddl.h"
@@ -254,8 +260,9 @@ TEST_F(ExecutorTest, ResultSetToStringAligns) {
   EXPECT_NE(text.find("1  | eng"), std::string::npos);
 }
 
-// Cross-check: the executor's COUNT DISTINCT agrees with the algebra
-// layer's DistinctCount on the paper-style operator.
+// Cross-check: the executor's literal COUNT DISTINCT agrees with the
+// algebra layer's DistinctCount on the paper-style operator — over single
+// and composite attribute lists, NULL-heavy columns, ±0.0 and NaN.
 TEST_F(ExecutorTest, AgreesWithAlgebraLayer) {
   const Table& emp = **db_.GetTable("Emp");
   for (const char* column : {"no", "dep", "salary", "nick"}) {
@@ -264,6 +271,92 @@ TEST_F(ExecutorTest, AgreesWithAlgebraLayer) {
     ASSERT_TRUE(via_algebra.ok() && via_sql.ok()) << column;
     EXPECT_EQ(*via_algebra, *via_sql) << column;
   }
+
+  RelationSchema schema("Staff");
+  ASSERT_TRUE(schema.AddAttribute("no", DataType::kInt64).ok());
+  ASSERT_TRUE(schema.AddAttribute("dep", DataType::kInt64).ok());
+  ASSERT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
+  ASSERT_TRUE(schema.AddAttribute("bonus", DataType::kDouble).ok());
+  ASSERT_TRUE(schema.AddAttribute("ratio", DataType::kDouble).ok());
+  Table staff(std::move(schema));
+  for (int64_t i = 0; i < 123; ++i) {
+    // NULL-heavy dep; names repeat; bonus mixes -0.0/0.0 and NULL; every
+    // third ratio is NaN.
+    Value dep = i % 7 == 3 ? Value::Null() : Value::Int(i % 29);
+    Value name = i % 11 == 0 ? Value::Null()
+                             : Value::Text("emp" + std::to_string(i % 13));
+    Value bonus = i % 5 == 0   ? Value::Null()
+                  : i % 5 == 1 ? Value::Real(-0.0)
+                  : i % 5 == 2 ? Value::Real(0.0)
+                               : Value::Real(static_cast<double>(i % 17));
+    Value ratio = i % 3 == 0   ? Value::Real(std::nan(""))
+                  : i % 4 == 0 ? Value::Null()
+                               : Value::Real(static_cast<double>(i % 6));
+    ASSERT_TRUE(staff.Insert({Value::Int(i), dep, name, bonus, ratio}).ok());
+  }
+  ASSERT_TRUE(db_.AddTable(std::move(staff)).ok());
+  const Table& table = **db_.GetTable("Staff");
+  for (const std::vector<std::string>& attributes :
+       std::vector<std::vector<std::string>>{{"dep"},
+                                             {"name"},
+                                             {"bonus"},
+                                             {"ratio"},
+                                             {"dep", "name"},
+                                             {"no", "dep"},
+                                             {"bonus", "ratio"}}) {
+    auto via_algebra = table.DistinctCount(AttributeSet(attributes));
+    auto via_sql = CountDistinct(db_, "Staff", attributes);
+    ASSERT_TRUE(via_algebra.ok() && via_sql.ok()) << attributes[0];
+    EXPECT_EQ(*via_algebra, *via_sql)
+        << attributes[0] << " (" << attributes.size() << " attributes)";
+  }
+  EXPECT_FALSE(CountDistinct(db_, "Staff", {}).ok());
+  EXPECT_FALSE(CountDistinct(db_, "Nope", {"x"}).ok());
+  EXPECT_FALSE(CountDistinct(db_, "Staff", {"nope"}).ok());
+}
+
+// A NaN operand makes a comparison unknown, as NULL does: no comparison
+// selects the NaN row, and neither does the negation of one.
+TEST_F(ExecutorTest, NaNComparisonsAreUnknown) {
+  ASSERT_TRUE(ExecuteDdlScript(
+                  "CREATE TABLE T (id INT, d FLOAT);"
+                  "INSERT INTO T VALUES (1, 1.0), (2, 'nan'), (3, 2.0);",
+                  &db_)
+                  .ok());
+  auto ids = [this](const std::string& where) {
+    ResultSet rs = Run("SELECT id FROM T WHERE " + where);
+    std::vector<int64_t> out;
+    for (const ValueVector& row : rs.rows) out.push_back(row[0].as_int());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(ids("d = 1.0"), std::vector<int64_t>{1});
+  EXPECT_EQ(ids("d <= 1.0"), std::vector<int64_t>{1});
+  EXPECT_EQ(ids("d >= 2.0"), std::vector<int64_t>{3});
+  EXPECT_EQ(ids("NOT (d <> 1.0)"), std::vector<int64_t>{1});
+  EXPECT_EQ(ids("d IN (SELECT d FROM T WHERE id = 1)"),
+            std::vector<int64_t>{1});
+  EXPECT_EQ(ids("d <> 1.0"), std::vector<int64_t>{3});
+}
+
+// SELECT DISTINCT sorts its rows, so it needs Value's order to stay a
+// strict weak order with NaN present. Every NaN is its own value (its own
+// code), so the distinct rows are the 50 values plus one row per NaN.
+TEST_F(ExecutorTest, DistinctKeepsEveryNaNAndEachValueOnce) {
+  RelationSchema schema("T");
+  ASSERT_TRUE(schema.AddAttribute("d", DataType::kDouble).ok());
+  Table table(std::move(schema));
+  for (int i = 0; i < 4000; ++i) {
+    Value d = i % 3 == 0 ? Value::Real(std::nan(""))
+                         : Value::Real(static_cast<double>((i * 7) % 50));
+    ASSERT_TRUE(table.Insert({d}).ok());
+  }
+  ASSERT_TRUE(db_.AddTable(std::move(table)).ok());
+  ResultSet rs = Run("SELECT DISTINCT d FROM T");
+  EXPECT_EQ(rs.NumRows(), 1384u);  // 50 values + 1,334 NaNs
+  auto via_algebra = (*db_.GetTable("T"))->DistinctCount(AttributeSet{"d"});
+  ASSERT_TRUE(via_algebra.ok());
+  EXPECT_EQ(rs.NumRows(), *via_algebra);
 }
 
 }  // namespace

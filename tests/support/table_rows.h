@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <vector>
 
 #include "relational/table.h"
@@ -22,6 +23,20 @@ inline std::vector<ValueVector> Rows(const Table& table) {
     std::abort();
   }
   return rows;
+}
+
+// The row selection Table::UpdateRows/DeleteRows take: the ids of the rows
+// of `table` that satisfy `predicate`, ascending, found by decoding every
+// row.
+inline std::vector<size_t> RowsWhere(
+    const Table& table,
+    const std::function<bool(const ValueVector&)>& predicate) {
+  std::vector<size_t> selected;
+  const std::vector<ValueVector> rows = Rows(table);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (predicate(rows[i])) selected.push_back(i);
+  }
+  return selected;
 }
 
 // Identity of a table's column storage, one address per column: two tables
