@@ -5,8 +5,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "relational/query_cache.h"
-#include "relational/sketch.h"
 
 namespace dbre {
 
@@ -84,33 +82,6 @@ Status ConceptualizeIntersection(Database* database, const EquiJoin& join,
   return database->AddTable(std::move(table));
 }
 
-// Builds the memoized column sketch of every single-attribute join side up
-// front. ComputeJoinCounts only *uses* a column sketch that already exists
-// (a one-shot join is cheaper without the build), so a discovery sweep —
-// which revisits the same columns across many candidate joins — is the
-// place that pays the one-time build and turns the Bloom refute-fast
-// pre-pass on. Resolution failures are ignored here; the fan-out below
-// reports them per join.
-void BuildJoinColumnSketches(const Database& database,
-                             const std::vector<EquiJoin>& joins) {
-  for (const EquiJoin& join : joins) {
-    if (join.left_attributes.size() != 1) continue;
-    for (int side = 0; side < 2; ++side) {
-      const std::string& relation =
-          side == 0 ? join.left_relation : join.right_relation;
-      const std::string& attribute =
-          side == 0 ? join.left_attributes[0] : join.right_attributes[0];
-      Result<const Table*> table = database.GetTable(relation);
-      if (!table.ok()) continue;
-      Result<size_t> index = (*table)->schema().AttributeIndex(attribute);
-      if (!index.ok()) continue;
-      Result<std::shared_ptr<QueryCache>> cache = (*table)->query_cache();
-      if (!cache.ok()) continue;
-      (*cache)->ColumnSketchFor(*index);
-    }
-  }
-}
-
 }  // namespace
 
 Result<IndDiscoveryResult> DiscoverInds(Database* database,
@@ -119,8 +90,6 @@ Result<IndDiscoveryResult> DiscoverInds(Database* database,
                                         const IndDiscoveryOptions& options) {
   if (database == nullptr) return InvalidArgumentError("database is null");
   if (oracle == nullptr) return InvalidArgumentError("oracle is null");
-
-  if (SketchesEnabled()) BuildJoinColumnSketches(*database, joins);
 
   // Fan the per-join valuations out first: they only read the catalog
   // (conceptualized relations are added below, but a later join can never

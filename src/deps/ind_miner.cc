@@ -7,7 +7,6 @@
 
 #include "relational/algebra.h"
 #include "relational/query_cache.h"
-#include "relational/sketch.h"
 
 namespace dbre {
 namespace {
@@ -29,11 +28,8 @@ Result<std::vector<InclusionDependency>> MineUnaryInds(
   IndMinerStats* s = stats != nullptr ? stats : &local_stats;
   *s = IndMinerStats{};
 
-  // One pass over the catalog: encode every attribute, note its exact
-  // distinct count, and pre-build its column sketch — the O(n²) pair loop
-  // below amortizes the builds, and InclusionHolds' Bloom refute-fast
-  // pre-pass then kills most non-included pairs without touching the
-  // exact dictionary sets.
+  // One pass over the catalog: encode every attribute and note its exact
+  // distinct count, which the O(n²) pair loop below uses to prune.
   std::vector<AttributeColumn> columns;
   for (const std::string& relation : database.RelationNames()) {
     DBRE_ASSIGN_OR_RETURN(const Table* table, database.GetTable(relation));
@@ -48,7 +44,6 @@ Result<std::vector<InclusionDependency>> MineUnaryInds(
       column.is_key_target =
           table->schema().IsKey(AttributeSet::Single(attribute.name));
       column.distinct = cache->DistinctCount({index});
-      if (SketchesEnabled()) cache->ColumnSketchFor(index);
       columns.push_back(std::move(column));
       ++index;
     }

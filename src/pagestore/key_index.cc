@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "relational/sketch.h"
+#include "relational/value.h"
 #include "store/crc32c.h"
 #include "store/snapshot_format.h"
 

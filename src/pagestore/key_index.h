@@ -5,7 +5,7 @@
 // pool: an in-memory fence key every kFenceStride entries narrows a probe
 // to one block, which is binary-searched page-locally. Keys are the raw
 // int64 bit pattern for typed int64 columns (`exact()`), and the canonical
-// sketch hash (relational/sketch.h SketchHash) otherwise — inexact probe
+// value hash (relational/value.h SketchHash) otherwise — inexact probe
 // hits must be verified by decoding the dictionary value.
 //
 // On-disk layout (little-endian):

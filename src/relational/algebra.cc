@@ -8,21 +8,17 @@
 #include "obs/metrics.h"
 #include "relational/column_batch.h"
 #include "relational/query_cache.h"
-#include "relational/sketch.h"
 
 namespace dbre {
 namespace {
 
-obs::Counter* SketchRefutes(const char* kind) {
-  return obs::Registry::Default().GetCounter(
-      "dbre_sketch_refutes_total", {{"kind", kind}},
+// Counts inclusions refuted by the exact cardinality pre-pass
+// (‖lhs‖ > ‖rhs‖), before any membership probe.
+obs::Counter* CardinalityRefutes() {
+  static obs::Counter* const refutes = obs::Registry::Default().GetCounter(
+      "dbre_sketch_refutes_total", {{"kind", "cardinality"}},
       "Candidates refuted by a provable sketch/count pre-pass");
-}
-
-obs::Counter* SketchFallbacks(const char* kind) {
-  return obs::Registry::Default().GetCounter(
-      "dbre_sketch_fallbacks_total", {{"kind", kind}},
-      "Sketch pre-passes that could not prove and fell back to exact");
+  return refutes;
 }
 
 // Probe loops run after the paged source verified clean at open; a failure
@@ -75,112 +71,58 @@ bool IndexContains(const EncodedTable& build_encoded, size_t build_column,
   return found;
 }
 
-// Number of probe-dictionary values present in the build column, exact.
-// Protocol: an optional Bloom pre-pass (only if the build side already
-// carries a sketch — discovery sweeps build them, one-shot joins don't)
-// proves most absent values absent; survivors take the exact membership
-// check, vectorized over the flat int64 dictionary keys when both sides
-// are typed, decoded Values otherwise.
+// Number of probe-dictionary values present in the build column, exact:
+// through the build side's key index when it is paged, vectorized over the
+// flat int64 dictionary keys when both sides are typed int64, and over
+// decoded Values otherwise.
 size_t SingleColumnIntersection(QueryCache& probe_cache, size_t probe_column,
                                 QueryCache& build_cache,
                                 size_t build_column) {
+  const EncodedTable& probe_encoded = probe_cache.encoded();
+  const size_t n = probe_encoded.dict_size(probe_column);
+  if (n == 0) return 0;
   std::shared_ptr<const DictionaryKeys> keys =
       probe_cache.DictKeys(probe_column);
-  const size_t n = keys->hashes.size();
-  if (n == 0) return 0;
 
-  std::vector<uint8_t> hit(n, 1);
-  size_t candidates = n;
-  if (SketchesEnabled()) {
-    std::shared_ptr<const ColumnSketch> sketch =
-        build_cache.MaybeColumnSketch(build_column);
-    if (sketch != nullptr) {
-      candidates =
-          batch::ProbeBloom(sketch->bloom, keys->hashes.data(), n, hit.data());
-      static obs::Counter* const refutes = SketchRefutes("bloom_column");
-      refutes->Add(n - candidates);
-      if (candidates > 0) {
-        static obs::Counter* const fallbacks = SketchFallbacks("column");
-        fallbacks->Add(1);
-      }
-    }
-  }
-  if (candidates == 0) return 0;
-
-  // Paged build side: probe the survivors against the on-disk key index
-  // instead of materializing the build dictionary as a set.
+  // Paged build side: probe against the on-disk key index instead of
+  // materializing the build dictionary as a set.
   std::shared_ptr<const PagedKeyIndex> index =
       BuildSideKeyIndex(build_cache, build_column);
   if (index != nullptr) {
     const EncodedTable& build_encoded = build_cache.encoded();
     size_t joined = 0;
     if (index->exact() && !keys->int64_keys.empty()) {
-      for (size_t i = 0; i < n; ++i) {
-        if (hit[i] && index->ContainsKey(keys->int64_keys[i])) ++joined;
+      for (uint64_t key : keys->int64_keys) {
+        if (index->ContainsKey(key)) ++joined;
       }
       return joined;
     }
-    CheckStream(probe_cache.encoded().ForEachDictValue(
-        probe_column, [&](uint32_t code, const Value& value) {
-          if (hit[code] && IndexContains(build_encoded, build_column, *index,
-                                         value)) {
+    CheckStream(probe_encoded.ForEachDictValue(
+        probe_column, [&](uint32_t, const Value& value) {
+          if (IndexContains(build_encoded, build_column, *index, value)) {
             ++joined;
           }
         }));
     return joined;
   }
 
-  // Exact stage over the Bloom survivors.
   if (!keys->int64_keys.empty()) {
     std::shared_ptr<const FlatSet64> build_ints =
         build_cache.Int64DictionarySet(build_column);
     if (build_ints != nullptr) {
-      std::vector<uint8_t> present(candidates);
-      if (candidates == n) {
-        return batch::ProbeSet(*build_ints, keys->int64_keys.data(), n,
-                               present.data());
-      }
-      std::vector<uint64_t> survivors;
-      survivors.reserve(candidates);
-      for (size_t i = 0; i < n; ++i) {
-        if (hit[i]) survivors.push_back(keys->int64_keys[i]);
-      }
-      return batch::ProbeSet(*build_ints, survivors.data(), survivors.size(),
+      std::vector<uint8_t> present(n);
+      return batch::ProbeSet(*build_ints, keys->int64_keys.data(), n,
                              present.data());
     }
   }
   std::shared_ptr<const ValueSet> build_set =
       build_cache.DictionarySet(build_column);
   size_t joined = 0;
-  CheckStream(probe_cache.encoded().ForEachDictValue(
-      probe_column, [&](uint32_t code, const Value& value) {
-        if (hit[code] && build_set->contains(value)) ++joined;
+  CheckStream(probe_encoded.ForEachDictValue(
+      probe_column, [&](uint32_t, const Value& value) {
+        if (build_set->contains(value)) ++joined;
       }));
   return joined;
-}
-
-// Sketch-consistent row hashes of a partition's representatives, built
-// from the per-column value-hash tables (no decoding). Representatives
-// come from NULL-skipping partitions, so no NULL channel is needed.
-std::vector<uint64_t> RepresentativeHashes(
-    QueryCache& cache, const std::vector<size_t>& columns,
-    const CodePartition& partition) {
-  std::vector<std::shared_ptr<const DictionaryKeys>> keys;
-  keys.reserve(columns.size());
-  for (size_t c : columns) keys.push_back(cache.DictKeys(c));
-  const EncodedTable& encoded = cache.encoded();
-  std::vector<uint64_t> hashes(partition.representative.size(), kRowHashSeed);
-  for (size_t k = 0; k < columns.size(); ++k) {
-    // Multi-column representatives come in increasing row order, so the
-    // reader walks each page once in paged mode.
-    EncodedTable::CodeReader codes = encoded.codes_reader(columns[k]);
-    const uint64_t* value_hash = keys[k]->hashes.data();
-    for (size_t g = 0; g < hashes.size(); ++g) {
-      hashes[g] = SketchHashCombine(
-          hashes[g], value_hash[codes.At(partition.representative[g])]);
-    }
-  }
-  return hashes;
 }
 
 }  // namespace
@@ -238,7 +180,7 @@ Result<JoinCounts> ComputeJoinCounts(const Database& database,
   if (left_indexes.size() == 1) {
     // Single-attribute joins (the common case): each side's dictionary is
     // its distinct projection; probe the smaller dictionary against the
-    // larger side, Bloom pre-pass first, exact membership second.
+    // larger side.
     const size_t lc = left_indexes[0];
     const size_t rc = right_indexes[0];
     left_cache->EnsureEncoded(left_indexes);
@@ -256,9 +198,8 @@ Result<JoinCounts> ComputeJoinCounts(const Database& database,
   }
 
   // Multi-attribute: the distinct counts come from the memoized partitions;
-  // the intersection probes the smaller side's representatives against the
-  // larger side — through its projection Bloom when the exact distinct set
-  // is not yet materialized (misses are proven absent; only hits decode).
+  // the intersection probes the smaller side's decoded representatives
+  // against the larger side's distinct projection.
   std::shared_ptr<const CodePartition> left_part =
       left_cache->Partition(left_indexes, NullPolicy::kSkipNullRows);
   std::shared_ptr<const CodePartition> right_part =
@@ -273,33 +214,14 @@ Result<JoinCounts> ComputeJoinCounts(const Database& database,
   const std::vector<size_t>& build_columns =
       probe_left ? right_indexes : left_indexes;
   const CodePartition& probe_part = probe_left ? *left_part : *right_part;
-
-  std::vector<uint8_t> hit(probe_part.num_groups(), 1);
-  size_t candidates = probe_part.num_groups();
-  if (SketchesEnabled() && candidates > 0 &&
-      !build_cache.HasDistinctProjection(build_columns)) {
-    std::vector<uint64_t> probe_hashes =
-        RepresentativeHashes(probe_cache, probe_columns, probe_part);
-    std::shared_ptr<const ProjectionSketch> sketch =
-        build_cache.ProjectionSketchFor(build_columns);
-    candidates = batch::ProbeBloom(sketch->bloom, probe_hashes.data(),
-                                   probe_hashes.size(), hit.data());
-    static obs::Counter* const refutes = SketchRefutes("bloom_projection");
-    refutes->Add(probe_part.num_groups() - candidates);
-    if (candidates > 0) {
-      static obs::Counter* const fallbacks = SketchFallbacks("projection");
-      fallbacks->Add(1);
-    }
-  }
-  if (candidates > 0) {
+  if (probe_part.num_groups() > 0) {
     std::shared_ptr<const ValueVectorSet> build_set =
         build_cache.DistinctProjection(build_columns);
     EncodedTable::RowReader reader =
         probe_cache.encoded().row_reader(probe_columns);
     ValueVector sub_row;
-    for (size_t g = 0; g < probe_part.num_groups(); ++g) {
-      if (!hit[g]) continue;
-      reader.Read(probe_part.representative[g], &sub_row);
+    for (uint32_t rep : probe_part.representative) {
+      reader.Read(rep, &sub_row);
       if (build_set->contains(sub_row)) ++counts.n_join;
     }
   }
@@ -330,10 +252,9 @@ Result<bool> InclusionHolds(const Database& database,
                         lhs->query_cache());
   if (lhs_indexes.size() == 1) {
     // Single attribute: r_i[Y] ⊆ r_j[Z] iff every lhs dictionary value is
-    // in the rhs dictionary. Two provable pre-passes run first: a strictly
-    // larger lhs dictionary refutes outright (exact cardinalities), and a
-    // Bloom miss against an already-built rhs column sketch refutes one
-    // value (no false negatives). Survivors take the exact membership scan.
+    // in the rhs dictionary. A strictly larger lhs dictionary refutes
+    // outright (exact cardinalities); otherwise the exact membership scan
+    // decides.
     const size_t lc = lhs_indexes[0];
     const size_t rc = rhs_indexes[0];
     lhs_cache->EnsureEncoded(lhs_indexes);
@@ -341,27 +262,9 @@ Result<bool> InclusionHolds(const Database& database,
     const EncodedTable& lhs_encoded = lhs_cache->encoded();
     const size_t lhs_size = lhs_encoded.dict_size(lc);
     if (lhs_size == 0) return true;
-    if (SketchesEnabled()) {
-      if (lhs_size > rhs_cache->encoded().dict_size(rc)) {
-        static obs::Counter* const refutes = SketchRefutes("cardinality");
-        refutes->Add(1);
-        return false;
-      }
-      std::shared_ptr<const ColumnSketch> sketch =
-          rhs_cache->MaybeColumnSketch(rc);
-      if (sketch != nullptr) {
-        std::shared_ptr<const DictionaryKeys> keys = lhs_cache->DictKeys(lc);
-        std::vector<uint8_t> hit(lhs_size);
-        const size_t hits = batch::ProbeBloom(
-            sketch->bloom, keys->hashes.data(), lhs_size, hit.data());
-        if (hits < lhs_size) {
-          static obs::Counter* const refutes = SketchRefutes("bloom_column");
-          refutes->Add(1);
-          return false;
-        }
-        static obs::Counter* const fallbacks = SketchFallbacks("column");
-        fallbacks->Add(1);
-      }
+    if (lhs_size > rhs_cache->encoded().dict_size(rc)) {
+      CardinalityRefutes()->Add(1);
+      return false;
     }
     // Paged rhs: probe every lhs dictionary value against the on-disk key
     // index instead of materializing the rhs dictionary as a set.
@@ -412,34 +315,15 @@ Result<bool> InclusionHolds(const Database& database,
         }));
     return included;
   }
-  // Multi-attribute: probe the lhs representatives against the rhs
-  // projection — its Bloom first when the exact set is not materialized
-  // yet (one miss refutes the whole inclusion), decoded rows second.
+  // Multi-attribute: a larger lhs projection refutes outright (exact
+  // memoized counts); otherwise every decoded lhs representative must be
+  // in the rhs projection.
   std::shared_ptr<const CodePartition> lhs_part =
       lhs_cache->Partition(lhs_indexes, NullPolicy::kSkipNullRows);
   if (lhs_part->num_groups() == 0) return true;
-  if (SketchesEnabled()) {
-    if (lhs_part->num_groups() > rhs_cache->DistinctCount(rhs_indexes)) {
-      static obs::Counter* const refutes = SketchRefutes("cardinality");
-      refutes->Add(1);
-      return false;
-    }
-    if (!rhs_cache->HasDistinctProjection(rhs_indexes)) {
-      std::vector<uint64_t> lhs_hashes =
-          RepresentativeHashes(*lhs_cache, lhs_indexes, *lhs_part);
-      std::shared_ptr<const ProjectionSketch> sketch =
-          rhs_cache->ProjectionSketchFor(rhs_indexes);
-      std::vector<uint8_t> hit(lhs_hashes.size());
-      const size_t hits = batch::ProbeBloom(
-          sketch->bloom, lhs_hashes.data(), lhs_hashes.size(), hit.data());
-      if (hits < lhs_hashes.size()) {
-        static obs::Counter* const refutes = SketchRefutes("bloom_projection");
-        refutes->Add(1);
-        return false;
-      }
-      static obs::Counter* const fallbacks = SketchFallbacks("projection");
-      fallbacks->Add(1);
-    }
+  if (lhs_part->num_groups() > rhs_cache->DistinctCount(rhs_indexes)) {
+    CardinalityRefutes()->Add(1);
+    return false;
   }
   std::shared_ptr<const ValueVectorSet> rhs_values =
       rhs_cache->DistinctProjection(rhs_indexes);

@@ -44,19 +44,4 @@ size_t ProbeSet(const FlatSet64& set, const uint64_t* keys, size_t n,
   return hits;
 }
 
-size_t ProbeBloom(const BloomFilter& bloom, const uint64_t* keys, size_t n,
-                  uint8_t* hit) {
-  size_t hits = 0;
-  const size_t warm = n < kLookahead ? n : kLookahead;
-  for (size_t i = 0; i < warm; ++i) bloom.Prefetch(keys[i]);
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kLookahead < n) bloom.Prefetch(keys[i + kLookahead]);
-    const uint8_t h = bloom.MayContain(keys[i]) ? 1 : 0;
-    hit[i] = h;
-    hits += h;
-  }
-  AddKernelRows(Kernel::kProbe, n);
-  return hits;
-}
-
 }  // namespace dbre::batch

@@ -7,9 +7,9 @@
 //
 //   * a batch is up to kBatchSize consecutive rows of one column's code
 //     array; NULL rows carry EncodedTable::kNullCode;
-//   * membership tests probe per-row 64-bit keys against a FlatSet64 /
-//     BloomFilter with software prefetch issued a fixed distance ahead,
-//     overlapping the random-access loads that dominate large probes.
+//   * membership tests probe per-row 64-bit keys against a FlatSet64 with
+//     software prefetch issued a fixed distance ahead, overlapping the
+//     random-access loads that dominate large probes.
 //
 // Kernels are branch-light loops over flat arrays — the form compilers
 // auto-vectorize — and report their processed rows to the
@@ -21,7 +21,6 @@
 #include <cstdint>
 
 #include "common/flat_hash.h"
-#include "relational/sketch.h"
 
 namespace dbre::batch {
 
@@ -50,7 +49,7 @@ class BatchIterator {
 
 // Kernel families, for the per-kernel row-throughput metric.
 enum class Kernel {
-  kProbe,      // hash/bloom membership probes
+  kProbe,      // hash membership probes
   kPartition,  // grouped-distinct building
 };
 
@@ -61,11 +60,6 @@ void AddKernelRows(Kernel kernel, size_t rows);
 // hit[i] ∈ {0,1}; returns the number of hits.
 size_t ProbeSet(const FlatSet64& set, const uint64_t* keys, size_t n,
                 uint8_t* hit);
-
-// Same against a Bloom filter; hit[i] == 0 proves keys[i] is absent from
-// every set the filter was built over.
-size_t ProbeBloom(const BloomFilter& bloom, const uint64_t* keys, size_t n,
-                  uint8_t* hit);
 
 }  // namespace dbre::batch
 

@@ -47,7 +47,7 @@ class PagedCodeCursor {
 
 // A sorted-run index over one column's dictionary: (key, code) pairs
 // ordered by key, where key is the raw int64 bit pattern when `exact()`
-// (typed int64 columns) and the canonical sketch hash otherwise. Inexact
+// (typed int64 columns) and the canonical SketchHash otherwise. Inexact
 // probes must verify candidates by decoding the dictionary value.
 class PagedKeyIndex {
  public:
@@ -99,7 +99,7 @@ class PagedSource {
 // Process-wide gate for key-index probe fast paths (default on). Turning
 // it off routes paged membership probes through streamed exact sets
 // instead — results are identical either way; the crosscheck tests flip
-// the gate to prove it, mirroring relational/sketch.h's ScopedSketchGate.
+// the gate to prove it.
 bool PagedIndexEnabled();
 void SetPagedIndexEnabled(bool enabled);
 

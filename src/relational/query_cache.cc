@@ -137,12 +137,6 @@ std::unique_ptr<QueryCache> QueryCache::BuildDelta(
   for (const auto& [key, value] : base.dictionary_keys_) {
     if (!touched(key)) cache->dictionary_keys_.emplace(key, value);
   }
-  for (const auto& [key, value] : base.column_sketches_) {
-    if (!touched(key)) cache->column_sketches_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.projection_sketches_) {
-    if (untouched(key)) cache->projection_sketches_.emplace(key, value);
-  }
   for (const auto& [key, value] : base.fd_verdicts_) {
     if (untouched(key.first) && untouched(key.second)) {
       cache->fd_verdicts_.emplace(key, value);
@@ -382,38 +376,35 @@ bool QueryCache::ComputeFdHolds(const std::vector<size_t>& lhs_columns,
       Partition(lhs_columns, NullPolicy::kSkipNullRows);
   std::shared_ptr<const CodePartition> rhs =
       Partition(rhs_columns, NullPolicy::kNullAsValue);
-  if (SketchesEnabled()) {
-    // Exact distinct-count prunes over the memoized partition sizes; each
-    // one is a proof, so the refinement pass below is skipped, not
-    // approximated. (Gated only so the crosscheck tests can A/B the
-    // routes; results are identical either way.)
-    obs::Registry& registry = obs::Registry::Default();
-    if (lhs->num_groups() == lhs->included_rows) {
-      // Every LHS class is a singleton — nothing can disagree.
-      static obs::Counter* const accepts = registry.GetCounter(
-          "dbre_fd_fast_accepts_total", {{"kind", "unique_lhs"}},
-          "FD checks accepted by exact distinct-count pruning");
-      accepts->Add(1);
-      return true;
-    }
-    if (rhs->num_groups() <= 1) {
-      // A single RHS class can never split an LHS class.
-      static obs::Counter* const accepts = registry.GetCounter(
-          "dbre_fd_fast_accepts_total", {{"kind", "constant_rhs"}},
-          "FD checks accepted by exact distinct-count pruning");
-      accepts->Add(1);
-      return true;
-    }
-    if (lhs->included_rows == encoded_.num_rows() &&
-        rhs->num_groups() > lhs->num_groups()) {
-      // With every row included on the left, π_{X∪A} refines both sides,
-      // so |π_{X∪A}| ≥ |π_A| > |π_X| forces a split somewhere.
-      static obs::Counter* const refutes = registry.GetCounter(
-          "dbre_sketch_refutes_total", {{"kind", "fd_distinct"}},
-          "Candidates refuted by a provable sketch/count pre-pass");
-      refutes->Add(1);
-      return false;
-    }
+  // Exact distinct-count prunes over the memoized partition sizes; each
+  // one is a proof, so the refinement pass below is skipped, not
+  // approximated.
+  obs::Registry& registry = obs::Registry::Default();
+  if (lhs->num_groups() == lhs->included_rows) {
+    // Every LHS class is a singleton — nothing can disagree.
+    static obs::Counter* const accepts = registry.GetCounter(
+        "dbre_fd_fast_accepts_total", {{"kind", "unique_lhs"}},
+        "FD checks accepted by exact distinct-count pruning");
+    accepts->Add(1);
+    return true;
+  }
+  if (rhs->num_groups() <= 1) {
+    // A single RHS class can never split an LHS class.
+    static obs::Counter* const accepts = registry.GetCounter(
+        "dbre_fd_fast_accepts_total", {{"kind", "constant_rhs"}},
+        "FD checks accepted by exact distinct-count pruning");
+    accepts->Add(1);
+    return true;
+  }
+  if (lhs->included_rows == encoded_.num_rows() &&
+      rhs->num_groups() > lhs->num_groups()) {
+    // With every row included on the left, π_{X∪A} refines both sides,
+    // so |π_{X∪A}| ≥ |π_A| > |π_X| forces a split somewhere.
+    static obs::Counter* const refutes = registry.GetCounter(
+        "dbre_sketch_refutes_total", {{"kind", "fd_distinct"}},
+        "Candidates refuted by a provable sketch/count pre-pass");
+    refutes->Add(1);
+    return false;
   }
   // X → A holds iff every X-group maps into a single A-group, i.e.
   // |π_X| == |π_{X∪A}| over the non-NULL-X rows.
@@ -506,121 +497,16 @@ std::shared_ptr<const DictionaryKeys> QueryCache::DictKeys(size_t column) {
   if (it != dictionary_keys_.end()) return it->second;
   encoded_.EnsureColumn(column);
   auto keys = std::make_shared<DictionaryKeys>();
-  const size_t dict_size = encoded_.dict_size(column);
-  keys->hashes.reserve(dict_size);
-  const bool int64_typed = encoded_.column_typed(column) &&
-                           encoded_.declared_type(column) == DataType::kInt64;
-  if (int64_typed) keys->int64_keys.reserve(dict_size);
-  CheckDictStream(encoded_.ForEachDictValue(
-      column, [&keys, int64_typed](uint32_t, const Value& value) {
-        keys->hashes.push_back(SketchHash(value));
-        if (int64_typed) {
+  if (encoded_.column_typed(column) &&
+      encoded_.declared_type(column) == DataType::kInt64) {
+    keys->int64_keys.reserve(encoded_.dict_size(column));
+    CheckDictStream(encoded_.ForEachDictValue(
+        column, [&keys](uint32_t, const Value& value) {
           keys->int64_keys.push_back(static_cast<uint64_t>(value.as_int()));
-        }
-      }));
+        }));
+  }
   dictionary_keys_.emplace(column, keys);
   return keys;
-}
-
-std::shared_ptr<const ColumnSketch> QueryCache::ColumnSketchFor(
-    size_t column) {
-  static const HitMiss counters = CacheCounters("column_sketch");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = column_sketches_.find(column);
-    counters.Count(it != column_sketches_.end());
-    if (it != column_sketches_.end()) return it->second;
-  }
-  // Build outside the lock from the (memoized) flat keys, then publish.
-  std::shared_ptr<const DictionaryKeys> keys = DictKeys(column);
-  auto sketch = std::make_shared<ColumnSketch>(keys->hashes.size());
-  for (uint64_t h : keys->hashes) {
-    sketch->bloom.AddHash(h);
-    sketch->hll.AddHash(h);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return column_sketches_.emplace(column, std::move(sketch)).first->second;
-}
-
-std::shared_ptr<const ColumnSketch> QueryCache::MaybeColumnSketch(
-    size_t column) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = column_sketches_.find(column);
-  return it != column_sketches_.end() ? it->second : nullptr;
-}
-
-std::shared_ptr<const ProjectionSketch> QueryCache::ProjectionSketchFor(
-    const std::vector<size_t>& columns) {
-  static const HitMiss counters = CacheCounters("projection_sketch");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = projection_sketches_.find(columns);
-    counters.Count(it != projection_sketches_.end());
-    if (it != projection_sketches_.end()) return it->second;
-  }
-  // Per-column value-hash tables make the row-hash pass decode-free.
-  std::vector<std::shared_ptr<const DictionaryKeys>> keys;
-  keys.reserve(columns.size());
-  for (size_t c : columns) keys.push_back(DictKeys(c));
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = projection_sketches_.find(columns);
-  if (it != projection_sketches_.end()) return it->second;
-  const size_t num_rows = encoded_.num_rows();
-  auto sketch = std::make_shared<ProjectionSketch>(num_rows);
-  std::vector<EncodedTable::CodeReader> readers;
-  readers.reserve(columns.size());
-  for (size_t c : columns) readers.push_back(encoded_.codes_reader(c));
-
-  uint64_t hashes[batch::kBatchSize];
-  uint8_t valid[batch::kBatchSize];
-  batch::BatchIterator batches(num_rows);
-  size_t start = 0;
-  size_t count = 0;
-  while (batches.Next(&start, &count)) {
-    for (size_t i = 0; i < count; ++i) hashes[i] = kRowHashSeed;
-    for (size_t i = 0; i < count; ++i) valid[i] = 1;
-    for (size_t k = 0; k < columns.size(); ++k) {
-      const uint32_t* c = readers[k].Fetch(start, count);
-      const uint64_t* value_hash = keys[k]->hashes.data();
-      for (size_t i = 0; i < count; ++i) {
-        const bool null_cell = c[i] == EncodedTable::kNullCode;
-        hashes[i] =
-            SketchHashCombine(hashes[i], null_cell ? 0 : value_hash[c[i]]);
-        valid[i] &= null_cell ? 0 : 1;
-      }
-    }
-    for (size_t i = 0; i < count; ++i) {
-      if (!valid[i]) continue;
-      sketch->bloom.AddHash(hashes[i]);
-      sketch->hll.AddHash(hashes[i]);
-    }
-    batch::AddKernelRows(batch::Kernel::kPartition, count);
-  }
-  return projection_sketches_.emplace(columns, std::move(sketch))
-      .first->second;
-}
-
-bool QueryCache::HasDistinctProjection(const std::vector<size_t>& columns) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return distinct_sets_.find(columns) != distinct_sets_.end();
-}
-
-double QueryCache::EstimateDistinct(const std::vector<size_t>& columns) {
-  if (columns.size() == 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    encoded_.EnsureColumn(columns[0]);
-    return static_cast<double>(encoded_.dict_size(columns[0]));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PartitionKey key(columns, static_cast<int>(NullPolicy::kSkipNullRows));
-    auto it = partitions_.find(key);
-    if (it != partitions_.end()) {
-      return static_cast<double>(it->second->num_groups());
-    }
-  }
-  return ProjectionSketchFor(columns)->hll.Estimate();
 }
 
 bool QueryCache::LookupJoinCounts(

@@ -45,7 +45,6 @@
 #include "common/flat_hash.h"
 #include "common/status.h"
 #include "relational/encoded_table.h"
-#include "relational/sketch.h"
 #include "relational/table.h"
 
 namespace dbre {
@@ -77,36 +76,12 @@ struct CodePartition {
 
 // Flat probe keys for one column's dictionary, in code order — what the
 // batched membership kernels consume instead of per-code Value decoding.
-// `hashes` (SketchHash of each dictionary value) are always present and
-// equality-compatible across tables. `int64_keys` additionally carries the
-// raw values when the column is homogeneously int64, making key equality
-// itself exact.
+// `int64_keys` carries the raw values when the column is homogeneously
+// int64, making key equality exact; other columns get no keys (their
+// dictionaries are not streamed).
 struct DictionaryKeys {
-  std::vector<uint64_t> hashes;
   std::vector<uint64_t> int64_keys;  // empty unless typed int64
 };
-
-// Bloom + HLL over one column's distinct values. The Bloom side is built
-// over exactly the dictionary's sketch hashes, so a miss *proves* a value
-// absent from the column; the HLL side estimates are advisory.
-struct ColumnSketch {
-  BloomFilter bloom;
-  HyperLogLog hll;
-  explicit ColumnSketch(size_t expected_keys) : bloom(expected_keys) {}
-};
-
-// The same pair over a multi-column projection's NULL-free sub-rows,
-// hashed with the canonical per-column SketchHash chain (order-sensitive,
-// cross-table comparable).
-struct ProjectionSketch {
-  BloomFilter bloom;
-  HyperLogLog hll;
-  explicit ProjectionSketch(size_t expected_keys) : bloom(expected_keys) {}
-};
-
-// Seed of the multi-column row-hash chain (arbitrary odd constant; both
-// sides of any cross-table comparison must start from it).
-inline constexpr uint64_t kRowHashSeed = 14695981039346656037ull;
 
 // The three exact valuations of one cross-table join, as memoized here
 // (mirrors JoinCounts in algebra.h, which depends on this header).
@@ -128,7 +103,7 @@ class QueryCache {
   // first `base_rows` rows are identical to base's on every column NOT in
   // `updated_columns` (sorted schema indexes of in-place updated columns).
   // The extension already carries its own codes, so only memos move: when
-  // no rows were appended, memoized partitions/sets/sketches/FD verdicts
+  // no rows were appended, memoized partitions/sets/keys/FD verdicts
   // whose column sets avoid `updated_columns` carry over as shared
   // pointers. The cross-table join memo never carries over (its keys are
   // peer cache identities). Every observable answer of the returned cache
@@ -176,9 +151,10 @@ class QueryCache {
   // Whether lhs → rhs holds: rows with NULL in `lhs_columns` are skipped,
   // NULLs in `rhs_columns` compare like ordinary values (the semantics of
   // FunctionalDependencyHolds in algebra.h). Before the O(rows) refinement
-  // pass, two exact distinct-count prunes run over the memoized partition
-  // sizes: all-singleton LHS ⇒ holds; NULL-free LHS with more RHS than LHS
-  // classes ⇒ fails (each is a proof, never an estimate).
+  // pass, three exact distinct-count prunes run over the memoized partition
+  // sizes: all-singleton LHS or a single RHS class ⇒ holds; NULL-free LHS
+  // with more RHS than LHS classes ⇒ fails (each is a proof, never an
+  // estimate).
   bool FdHolds(const std::vector<size_t>& lhs_columns,
                const std::vector<size_t>& rhs_columns);
 
@@ -188,27 +164,6 @@ class QueryCache {
 
   // Flat dictionary probe keys of one column, memoized and shared.
   std::shared_ptr<const DictionaryKeys> DictKeys(size_t column);
-
-  // Bloom+HLL over one column's dictionary: ColumnSketchFor builds and
-  // memoizes; MaybeColumnSketch only returns an already-built sketch (a
-  // one-shot probe is cheaper than a sketch build, so callers outside a
-  // discovery sweep never trigger builds).
-  std::shared_ptr<const ColumnSketch> ColumnSketchFor(size_t column);
-  std::shared_ptr<const ColumnSketch> MaybeColumnSketch(size_t column);
-
-  // Bloom+HLL over a projection's NULL-free sub-rows — one flat pass over
-  // the code columns, no decoding, no partition build.
-  std::shared_ptr<const ProjectionSketch> ProjectionSketchFor(
-      const std::vector<size_t>& columns);
-
-  // Whether DistinctProjection(columns) has already been materialized
-  // (used to decide whether a sketch pre-pass is still worth anything).
-  bool HasDistinctProjection(const std::vector<size_t>& columns);
-
-  // ‖r[columns]‖, approximately: exact (dictionary size / memoized
-  // partition) when already known, otherwise a memoized HLL estimate.
-  // Never builds an exact partition; advisory only.
-  double EstimateDistinct(const std::vector<size_t>& columns);
 
   // Memo for cross-table join counts (keyed by the peer cache's identity
   // and both ordered column lists). The stored weak_ptr guards against
@@ -249,13 +204,9 @@ class QueryCache {
   std::map<size_t, std::shared_ptr<const ValueSet>> dictionary_sets_;
   std::map<size_t, std::shared_ptr<const FlatSet64>> int64_dictionary_sets_;
   std::map<size_t, std::shared_ptr<const DictionaryKeys>> dictionary_keys_;
-  std::map<size_t, std::shared_ptr<const ColumnSketch>> column_sketches_;
-  std::map<std::vector<size_t>, std::shared_ptr<const ProjectionSketch>>
-      projection_sketches_;
   std::map<JoinMemoKey, JoinMemoEntry> join_memo_;
   // FD verdicts are pure functions of the extension and the two column
-  // lists (sketch gating changes the route, never the answer), so reruns
-  // skip the O(rows) refinement pass entirely. BuildDelta carries an entry
+  // lists, so reruns skip the O(rows) refinement pass entirely. BuildDelta carries an entry
   // over only when both sides avoid the updated columns — same rule as the
   // partitions it was derived from.
   std::map<FdKey, bool> fd_verdicts_;

@@ -121,6 +121,31 @@ struct ValueHash {
   size_t operator()(const Value& value) const { return value.Hash(); }
 };
 
+// Finalizing mixer (splitmix64): bijective, so equal inputs stay equal and
+// every output bit depends on every input bit.
+inline uint64_t MixHash64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// The canonical 64-bit hash of a value: equal Values (possibly living in
+// different tables' dictionaries) always hash equal. Spilled key indexes
+// (pagestore/key_index.h) store these keys, so the function must not
+// change.
+inline uint64_t SketchHash(const Value& value) {
+  return MixHash64(static_cast<uint64_t>(value.Hash()));
+}
+
+// Chains per-column hashes into a row hash for multi-attribute keys,
+// starting from kRowHashSeed; order-sensitive (attribute lists are
+// ordered).
+inline constexpr uint64_t kRowHashSeed = 14695981039346656037ull;
+inline uint64_t SketchHashCombine(uint64_t seed, uint64_t h) {
+  return MixHash64(seed * 0x100000001B3ull ^ h);
+}
+
 }  // namespace dbre
 
 #endif  // DBRE_RELATIONAL_VALUE_H_

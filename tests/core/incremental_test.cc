@@ -3,8 +3,7 @@
 // (warm caches, incremental delta rebuilds) yields a report BYTE-IDENTICAL
 // to a cold run over a freshly-built database holding the same final rows.
 // Covered sequences: insert-only, update-only, delete-only, mixed scripts,
-// heavily skewed values and NULL-heavy columns, with the sketch gate both
-// ways. The mutation scripts are derived from the generated schema so the
+// heavily skewed values and NULL-heavy columns. The mutation scripts are derived from the generated schema so the
 // suite keeps covering whatever the synthetic workload produces.
 #include <algorithm>
 #include <string>
@@ -17,7 +16,6 @@
 #include "core/presumption_diff.h"
 #include "core/report_json.h"
 #include "relational/database.h"
-#include "relational/sketch.h"
 #include "sql/dml.h"
 #include "workload/generator.h"
 #include "support/table_rows.h"
@@ -224,7 +222,7 @@ TEST(IncrementalTest, SkewedValues) {
   ASSERT_NE(id, SIZE_MAX);
   const std::string& id_name = table.schema().attributes()[id].name;
   // Pile most of the column onto a single value: partitions get one giant
-  // class, the dictionary collapses, sketch estimates saturate.
+  // class and the dictionary collapses.
   std::vector<std::string> scripts = {
       "UPDATE " + name + " SET " + id_name + " = 7 WHERE " + id_name +
           " > " + std::to_string(MedianInt(table, id)) + ";",
@@ -259,12 +257,9 @@ TEST(IncrementalTest, NullHeavySequence) {
   ExpectIncrementalMatchesCold(generated, scripts);
 }
 
-// The same invariant with the sketch gate forced both ways: sketches only
-// change the route to an answer, never the answer, including after
-// mutations evicted and rebuilt them.
+// An insert-then-delete script, once per InsertScript variant.
 TEST(IncrementalTest, SketchGateDoesNotChangeMutatedAnswers) {
-  for (bool sketches : {false, true}) {
-    ScopedSketchGate gate(sketches);
+  for (int variant : {2, 1}) {
     workload::SyntheticDatabase generated = MakeWorkload(17);
     const std::string name = generated.database.RelationNames().front();
     const Table& table = **generated.database.GetTable(name);
@@ -272,7 +267,7 @@ TEST(IncrementalTest, SketchGateDoesNotChangeMutatedAnswers) {
     ASSERT_NE(id, SIZE_MAX);
     ExpectIncrementalMatchesCold(
         generated,
-        {InsertScript(generated.database, name, 4, sketches ? 1 : 2),
+        {InsertScript(generated.database, name, 4, variant),
          "DELETE FROM " + name + " WHERE " +
              table.schema().attributes()[id].name + " > " +
              std::to_string(MedianInt(table, id)) + ";"});

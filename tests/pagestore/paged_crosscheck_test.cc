@@ -1,7 +1,7 @@
 // The tentpole invariant of the paged storage subsystem: discovery over
 // page-backed extensions produces BYTE-IDENTICAL reports to the in-memory
-// run, for every combination of the sketch and key-index gates, even with
-// a buffer pool far smaller than the extensions it serves. Also checks the
+// run, with the key-index gate on and off, even with a buffer pool far
+// smaller than the extensions it serves. Also checks the
 // row-shaped exporters (CSV, INSERT batches) stream paged extensions
 // losslessly through Table::ForEachRow, and that Restruct over paged
 // sources matches the row-based reference.
@@ -18,7 +18,6 @@
 #include "pagestore/paged_snapshot.h"
 #include "relational/csv.h"
 #include "relational/paged_source.h"
-#include "relational/sketch.h"
 #include "sql/ddl_writer.h"
 #include "store/snapshot.h"
 #include "support/restruct_reference.h"
@@ -110,19 +109,10 @@ TEST_F(PagedCrosscheckTest, PipelineReportIsByteIdenticalInEveryMode) {
   if (::testing::Test::HasFailure()) return;
 
   {
-    // Default mode: sketches on, key indexes on.
+    // Default mode: key indexes on.
     EXPECT_EQ(RunReport(paged, generated->queries), baseline);
   }
   {
-    ScopedPagedIndexGate no_index(false);
-    EXPECT_EQ(RunReport(paged, generated->queries), baseline);
-  }
-  {
-    ScopedSketchGate no_sketch(false);
-    EXPECT_EQ(RunReport(paged, generated->queries), baseline);
-  }
-  {
-    ScopedSketchGate no_sketch(false);
     ScopedPagedIndexGate no_index(false);
     EXPECT_EQ(RunReport(paged, generated->queries), baseline);
   }

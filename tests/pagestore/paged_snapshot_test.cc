@@ -12,7 +12,6 @@
 #include "pagestore/buffer_pool.h"
 #include "pagestore/key_index.h"
 #include "relational/encoded_table.h"
-#include "relational/sketch.h"
 #include "relational/table.h"
 #include "store/snapshot.h"
 #include "support/table_rows.h"

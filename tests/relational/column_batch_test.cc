@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/value.h"
+
 namespace dbre {
 namespace {
 
@@ -34,13 +36,11 @@ TEST(BatchIteratorTest, CoversBoundarySizes) {
 TEST(ProbeKernelsTest, MatchScalarMembershipUnderRandomKeys) {
   std::mt19937_64 rng(42);
   FlatSet64 set(4000);
-  BloomFilter bloom(4000);
   std::vector<uint64_t> member;
   for (int i = 0; i < 4000; ++i) {
     uint64_t key = MixHash64(rng());
     member.push_back(key);
     set.Insert(key);
-    bloom.AddHash(key);
   }
   // Mixed probe stream: half members, half strangers; sizes straddle the
   // prefetch lookahead and the batch size.
@@ -59,21 +59,6 @@ TEST(ProbeKernelsTest, MatchScalarMembershipUnderRandomKeys) {
       expected_hits += expected ? 1 : 0;
     }
     EXPECT_EQ(hits, expected_hits);
-
-    std::vector<uint8_t> bloom_hit(n, 2);
-    size_t bloom_hits =
-        batch::ProbeBloom(bloom, keys.data(), n, bloom_hit.data());
-    size_t expected_bloom = 0;
-    for (size_t i = 0; i < n; ++i) {
-      bool expected = bloom.MayContain(keys[i]);
-      EXPECT_EQ(bloom_hit[i] != 0, expected);
-      expected_bloom += expected ? 1 : 0;
-      // Zero false negatives through the batched path too.
-      if (set.Contains(keys[i])) {
-        EXPECT_NE(bloom_hit[i], 0);
-      }
-    }
-    EXPECT_EQ(bloom_hits, expected_bloom);
   }
 }
 

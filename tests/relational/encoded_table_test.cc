@@ -5,6 +5,9 @@
 #include "relational/encoded_table.h"
 
 #include <random>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +283,111 @@ TEST(EncodedVsNaiveTest, JoinCountsAndInclusionsAgree) {
       ASSERT_TRUE(fast_inc.ok() && slow_inc.ok());
       EXPECT_EQ(*fast_inc, *slow_inc);
     }
+  }
+}
+
+// Adversarial catalog for the exact prunes (the cardinality refutes in
+// InclusionHolds, the FD prunes in QueryCache::FdHolds):
+// Emp(no, dep, grade), where dep references Dept.dep except for strays
+// 40..43 and grade is NULL-heavy; Dept(dep, name, site) with repeated
+// names and a constant site.
+Database MakeAdversarialDatabase(uint64_t seed, size_t rows) {
+  std::mt19937_64 rng(seed);
+  Database db;
+  {
+    RelationSchema schema("Dept");
+    EXPECT_TRUE(schema.AddAttribute("dep", DataType::kInt64).ok());
+    EXPECT_TRUE(schema.AddAttribute("name", DataType::kString).ok());
+    EXPECT_TRUE(schema.AddAttribute("site", DataType::kString).ok());
+    Table table(std::move(schema));
+    for (int d = 0; d < 40; ++d) {
+      EXPECT_TRUE(table.Insert({Value::Int(d),
+                                Value::Text("d" + std::to_string(d % 7)),
+                                Value::Text("hq")}).ok());
+    }
+    EXPECT_TRUE(db.AddTable(std::move(table)).ok());
+  }
+  {
+    RelationSchema schema("Emp");
+    EXPECT_TRUE(schema.AddAttribute("no", DataType::kInt64).ok());
+    EXPECT_TRUE(schema.AddAttribute("dep", DataType::kInt64).ok());
+    EXPECT_TRUE(schema.AddAttribute("grade", DataType::kInt64).ok());
+    Table table(std::move(schema));
+    for (size_t i = 0; i < rows; ++i) {
+      int64_t dep = static_cast<int64_t>(rng() % 44);  // 40..43 are strays
+      Value grade = rng() % 3 == 0 ? Value::Null()
+                                   : Value::Int(static_cast<int64_t>(rng() % 5));
+      EXPECT_TRUE(table.Insert(
+          {Value::Int(static_cast<int64_t>(i)), Value::Int(dep), grade}).ok());
+    }
+    EXPECT_TRUE(db.AddTable(std::move(table)).ok());
+  }
+  return db;
+}
+
+TEST(EncodedVsNaiveTest, AdversarialProbesMatchReference) {
+  Database db = MakeAdversarialDatabase(17, 500);
+  std::vector<EquiJoin> joins;
+  for (const auto& [lr, la, rr, ra] :
+       std::vector<std::tuple<std::string, std::string, std::string,
+                              std::string>>{
+           {"Emp", "dep", "Dept", "dep"},  {"Dept", "dep", "Emp", "dep"},
+           {"Emp", "no", "Emp", "dep"},    {"Emp", "grade", "Dept", "dep"},
+           {"Dept", "name", "Dept", "name"},
+       }) {
+    joins.push_back(EquiJoin::Single(lr, la, rr, ra));
+  }
+  // Multi-attribute, both directions.
+  joins.push_back({"Emp", {"dep", "grade"}, "Dept", {"dep", "dep"}});
+  joins.push_back({"Dept", {"dep", "dep"}, "Emp", {"dep", "grade"}});
+  for (const EquiJoin& join : joins) {
+    const std::string label = join.left_relation + "[" +
+                              join.left_attributes[0] + "...] vs " +
+                              join.right_relation;
+    auto fast_inc =
+        InclusionHolds(db, join.left_relation, join.left_attributes,
+                       join.right_relation, join.right_attributes);
+    auto slow_inc =
+        naive::InclusionHolds(db, join.left_relation, join.left_attributes,
+                              join.right_relation, join.right_attributes);
+    ASSERT_TRUE(fast_inc.ok() && slow_inc.ok()) << label;
+    EXPECT_EQ(*fast_inc, *slow_inc) << label;
+
+    // A self-pairing (Dept.name with itself) is an inclusion probe but
+    // not a join: both implementations must refuse it alike.
+    auto fast = ComputeJoinCounts(db, join);
+    auto slow = naive::ComputeJoinCounts(db, join);
+    ASSERT_EQ(fast.ok(), slow.ok()) << label;
+    if (!fast.ok()) {
+      EXPECT_EQ(fast.status(), slow.status()) << label;
+      continue;
+    }
+    EXPECT_EQ(fast->n_left, slow->n_left) << label;
+    EXPECT_EQ(fast->n_right, slow->n_right) << label;
+    EXPECT_EQ(fast->n_join, slow->n_join) << label;
+  }
+
+  // FD checks through each prune: a unique LHS, a constant RHS, a NULL-free
+  // LHS with fewer classes than its RHS, and the refinement pass with and
+  // without NULLs on the left.
+  const Table* emp = *db.GetTable("Emp");
+  const Table* dept = *db.GetTable("Dept");
+  const std::vector<std::tuple<const Table*, AttributeSet, AttributeSet>>
+      fds = {
+          {emp, AttributeSet{"no"}, AttributeSet{"dep"}},
+          {dept, AttributeSet{"dep"}, AttributeSet{"name"}},
+          {dept, AttributeSet{"name"}, AttributeSet{"site"}},
+          {dept, AttributeSet{"name"}, AttributeSet{"dep"}},
+          {emp, AttributeSet{"dep"}, AttributeSet{"grade"}},
+          {emp, AttributeSet{"grade"}, AttributeSet{"dep"}},
+          {emp, AttributeSet{"dep", "grade"}, AttributeSet{"no"}},
+      };
+  for (const auto& [table, lhs, rhs] : fds) {
+    auto fast = FunctionalDependencyHolds(*table, lhs, rhs);
+    auto slow = naive::FunctionalDependencyHolds(*table, lhs, rhs);
+    ASSERT_TRUE(fast.ok() && slow.ok());
+    EXPECT_EQ(*fast, *slow) << table->schema().name() << ": "
+                            << lhs.ToString() << " -> " << rhs.ToString();
   }
 }
 

@@ -2,7 +2,7 @@
 // semantics, the incremental query-cache rebuild (QueryCache::BuildDelta)
 // answering byte-identically to a cold build, the copy-on-write detach that
 // keeps registry-interned extensions private to the mutating session, and
-// sketch eviction on mutation.
+// memo eviction on mutation.
 #include <cmath>
 #include <memory>
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "relational/extension_registry.h"
 #include "relational/query_cache.h"
-#include "relational/sketch.h"
 #include "relational/table.h"
 #include "support/cold_encode.h"
 #include "support/table_rows.h"
@@ -248,21 +247,19 @@ TEST(TableMutationTest, ExplicitDetachForMutationCopiesSharedStorage) {
   EXPECT_EQ(Rows(second)[7], Rows(first)[7]);
 }
 
-// Satellite regression: mutation must also drop memoized sketches — a
-// stale Bloom/HLL surviving a mutation could steer discovery into wrong
-// prunes. Crosschecked by running the sketch-assisted answers against a
-// cold build after the mutation, with the sketch gate forced on.
+// Regression: mutation must also drop the memos built over the old
+// extension — stale probe keys or partitions surviving a mutation would
+// answer for rows that no longer exist. Crosschecked against a cold build
+// after the mutation.
 TEST(TableMutationTest, SketchesRebuildAfterMutation) {
-  ScopedSketchGate sketches_on(true);
   Table table = MakeTable("R", 1, 150);
   auto cache = table.query_cache();
   ASSERT_TRUE(cache.ok());
-  auto before_sketch = (*cache)->ColumnSketchFor(0);
-  ASSERT_NE(before_sketch, nullptr);
-  ASSERT_NE((*cache)->ProjectionSketchFor({0, 1}), nullptr);
+  ASSERT_NE((*cache)->DictKeys(0), nullptr);
+  ASSERT_NE((*cache)->Partition({0, 1}, NullPolicy::kSkipNullRows), nullptr);
 
-  // Rewrite ids into a narrow band: the old sketch's cardinality estimate
-  // and membership bits are now wrong for most of the column.
+  // Rewrite ids into a narrow band: the old memos are now wrong for most
+  // of the column.
   auto updated = table.UpdateRows(
       {0}, {Value::Int(7)},
       RowsWhere(table,
@@ -272,44 +269,31 @@ TEST(TableMutationTest, SketchesRebuildAfterMutation) {
 
   auto after = table.query_cache();
   ASSERT_TRUE(after.ok());
-  // The memoized sketch did not carry over (updated column).
-  EXPECT_EQ((*after)->MaybeColumnSketch(0), nullptr);
 
   Table cold = ColdCopy(table);
   auto cold_cache = cold.query_cache();
   ASSERT_TRUE(cold_cache.ok());
-  auto warm_sketch = (*after)->ColumnSketchFor(0);
-  auto cold_sketch = (*cold_cache)->ColumnSketchFor(0);
-  ASSERT_NE(warm_sketch, nullptr);
-  ASSERT_NE(cold_sketch, nullptr);
-  // Sketches are deterministic over the same distinct values: identical
-  // estimates prove the rebuild saw the mutated extension.
-  EXPECT_EQ(warm_sketch->hll.Estimate(), cold_sketch->hll.Estimate());
+  // Identical probe keys prove the rebuild saw the mutated extension.
+  EXPECT_EQ((*after)->DictKeys(0)->int64_keys,
+            (*cold_cache)->DictKeys(0)->int64_keys);
   EXPECT_EQ((*after)->DistinctCount({0}), (*cold_cache)->DistinctCount({0}));
   ExpectCacheMatchesColdBuild(table);
 }
 
-// Append-only batches keep sketches only for untouched columns.
+// Append-only batches must not carry a per-column memo over the old rows.
 TEST(TableMutationTest, AppendKeepsUntouchedMemosDropsTouchedSketches) {
-  ScopedSketchGate sketches_on(true);
   Table table = MakeTable("R", 1, 100);
   auto cache = table.query_cache();
   ASSERT_TRUE(cache.ok());
-  ASSERT_NE((*cache)->ColumnSketchFor(1), nullptr);
+  ASSERT_NE((*cache)->DictionarySet(1), nullptr);
 
   EXPECT_TRUE(table.Insert({Value::Int(500), Value::Text("brand-new")}).ok());
   auto after = table.query_cache();
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->get(), cache->get());
 
-  // Appends extend every column, so per-column sketches must not carry
-  // over stale membership bits.
-  auto sketch = (*after)->MaybeColumnSketch(1);
-  if (sketch != nullptr) {
-    // If an implementation chooses to delta-merge instead of drop, the
-    // merged sketch must see the appended value.
-    EXPECT_TRUE(sketch->bloom.MayContain(SketchHash(Value::Text("brand-new"))));
-  }
+  // Appends extend every column, so the rebuilt memo sees the new value.
+  EXPECT_TRUE((*after)->DictionarySet(1)->contains(Value::Text("brand-new")));
   ExpectCacheMatchesColdBuild(table);
 }
 
