@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -24,6 +25,7 @@ constexpr uint64_t kFirstConnId = 2;
 
 struct LoopMetrics {
   obs::Counter* accepted;
+  obs::Counter* accept_errors;
   obs::Counter* requests;
   obs::Counter* pauses;
 };
@@ -34,6 +36,9 @@ const LoopMetrics& Metrics() {
     return LoopMetrics{
         registry.GetCounter("dbre_eventloop_accepted_total", {},
                             "Connections accepted by the epoll transport"),
+        registry.GetCounter("dbre_accept_errors_total", {},
+                            "Transient accept() failures retried by the "
+                            "listener"),
         registry.GetCounter("dbre_eventloop_requests_total", {},
                             "Request lines read by the epoll transport"),
         registry.GetCounter(
@@ -247,11 +252,12 @@ void EventLoopServer::LoopMain() {
   bool reading_stop_applied = false;
   while (!loop_exit_.load(std::memory_order_acquire)) {
     int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), -1);
+                         static_cast<int>(events.size()), PollTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
+    RearmListenerIfDue();
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[i];
       if (ev.data.u64 == kWakeId) {
@@ -309,15 +315,44 @@ void EventLoopServer::LoopMain() {
   for (const auto& conn : open) CloseConn(conn);
 }
 
+int EventLoopServer::PollTimeoutMs() const {
+  if (listen_armed_ || listen_fd_ < 0) return -1;
+  const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+      listen_rearm_at_ - std::chrono::steady_clock::now());
+  return static_cast<int>(std::max<int64_t>(wait.count(), 0));
+}
+
+void EventLoopServer::RearmListenerIfDue() {
+  if (listen_armed_ || listen_fd_ < 0 ||
+      std::chrono::steady_clock::now() < listen_rearm_at_) {
+    return;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenId;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0) {
+    listen_armed_ = true;
+  }
+}
+
 void EventLoopServer::AcceptReady() {
   while (listen_fd_ >= 0) {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN: backlog drained; transient errors retry on the
-               // next readiness event instead of spinning here
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained
+      // The connection is still queued (typically EMFILE/ENFILE/ENOBUFS/
+      // ENOMEM): back off rather than let the listener fire again at once.
+      Metrics().accept_errors->Add(1);
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+      listen_armed_ = false;
+      listen_rearm_at_ = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(accept_backoff_ms_);
+      accept_backoff_ms_ = std::min<int64_t>(accept_backoff_ms_ * 2, 100);
+      return;
     }
+    accept_backoff_ms_ = 1;
     if (Failpoints::Check("service.accept").action !=
         FailpointHit::Action::kNone) {
       ::close(fd);

@@ -20,6 +20,14 @@
 // thus propagates to the client through TCP flow control instead of
 // growing unbounded queues.
 //
+// Accept failures: a connection aborted in the backlog is skipped. Any
+// other failure — descriptors or memory exhausted (EMFILE, ENFILE,
+// ENOBUFS, ENOMEM) above all — leaves the connection queued, so the
+// level-triggered listener would fire again at once; instead it leaves
+// the interest set, `dbre_accept_errors_total` counts the failure, and the
+// epoll_wait timeout re-arms it after a capped backoff (1 ms doubling to
+// 100 ms, reset by the next successful accept).
+//
 // The same EventLoopServer serves both the worker daemon (handler =
 // Server::HandleLine, see service_transport.h) and the router front
 // process (handler = Router::Handle, whose upstream calls block on worker
@@ -28,6 +36,7 @@
 #define DBRE_CLUSTER_EVENT_LOOP_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,6 +127,8 @@ class EventLoopServer {
   void LoopMain();
   void Wake();
   void AcceptReady();
+  int PollTimeoutMs() const;  // -1 unless the listener is backing off
+  void RearmListenerIfDue();
   void ReadReady(const std::shared_ptr<Conn>& conn);
   void ExtractLines(const std::shared_ptr<Conn>& conn);
   void DrainCompletions();
@@ -142,6 +153,9 @@ class EventLoopServer {
   // Loop-thread state.
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns_;
+  bool listen_armed_ = true;  // listener in the epoll interest set
+  int64_t accept_backoff_ms_ = 1;
+  std::chrono::steady_clock::time_point listen_rearm_at_;
 
   // Handler threads → loop thread.
   std::mutex completions_mutex_;

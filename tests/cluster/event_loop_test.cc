@@ -1,6 +1,15 @@
 #include "cluster/event_loop.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -10,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/service_transport.h"
+#include "obs/metrics.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "service/transport.h"
@@ -242,6 +252,115 @@ TEST(EventLoopTransportTest, ManyConcurrentClients) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(transport.stats().requests, 16u * 20u);
+  transport.Stop();
+  server.sessions()->Shutdown();
+}
+
+// Lowers RLIMIT_NOFILE to just above the highest open descriptor and fills
+// every free slot below it with /dev/null, so the process's next
+// descriptor allocation fails with EMFILE. The destructor undoes both.
+class DescriptorExhaustion {
+ public:
+  DescriptorExhaustion() {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    int highest = 0;
+    for (int fd = 0; fd < 4096; ++fd) {
+      if (::fcntl(fd, F_GETFD) != -1) highest = fd;
+    }
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(highest) + 8;
+    limited_ = ::setrlimit(RLIMIT_NOFILE, &tight) == 0;
+    while (limited_ && fillers_.size() < 4096) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        exhausted_ = errno == EMFILE;
+        break;
+      }
+      fillers_.push_back(fd);
+    }
+  }
+  ~DescriptorExhaustion() {
+    for (int fd : fillers_) ::close(fd);
+    if (limited_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+  bool exhausted() const { return exhausted_ && !fillers_.empty(); }
+
+  void FreeOne() {
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  bool limited_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
+};
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) /
+             1e6;
+}
+
+// A client waits in the backlog while the process has no descriptor left:
+// accept(2) keeps failing with EMFILE and the level-triggered listener
+// stays readable. The loop must back off instead of spinning a core, and
+// serve the client once a descriptor is free again.
+TEST(EventLoopTransportTest, AcceptBacksOffWhileDescriptorsRunOut) {
+  service::Server server;
+  EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
+  obs::Counter* accept_errors = obs::Registry::Default().GetCounter(
+      "dbre_accept_errors_total", {},
+      "Transient accept() failures retried by the listener");
+  const uint64_t errors_before = accept_errors->value();
+
+  // The client's socket exists before the descriptors run out; connect(2)
+  // completes in the kernel backlog without allocating another one.
+  const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  service::SocketChannel channel(client);
+  timeval receive_timeout{};
+  receive_timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+                         sizeof(receive_timeout)),
+            0);
+
+  DescriptorExhaustion exhaustion;
+  ASSERT_TRUE(exhaustion.exhausted());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(transport.port());
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  const double cpu_start = ProcessCpuSeconds();
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu = ProcessCpuSeconds() - cpu_start;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  EXPECT_LT(cpu, 0.2 * wall)
+      << "the listener spun while accept(2) failed: " << cpu << " s of CPU in "
+      << wall << " s";
+  EXPECT_GT(accept_errors->value(), errors_before);
+
+  exhaustion.FreeOne();
+  service::Json hello = service::Command("hello");
+  hello.Set("id", service::Json::Int(1));
+  ASSERT_TRUE(channel.WriteLine(hello.Dump()).ok());
+  auto line = channel.ReadLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  auto response = service::Json::Parse(*line);
+  ASSERT_TRUE(response.ok()) << *line;
+  EXPECT_TRUE(response->GetBool("ok")) << *line;
   transport.Stop();
   server.sessions()->Shutdown();
 }
