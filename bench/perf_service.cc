@@ -14,10 +14,9 @@
 //                     through the server acknowledging the answer —
 //                     the latency an expert's UI would feel.
 //
-// Four sections: the thread-per-connection TcpServer, the epoll
-// EventLoopServer transport on the same Server, a router-fronted fleet of
-// in-process workers at 1/2/4 workers, and session migration latency
-// (router `migrate` round trips over a shared data dir). Levels record
+// Three sections: the epoll EventLoopServer transport over one Server, a
+// router-fronted fleet of in-process workers at 1/2/4 workers, and session
+// migration latency (router `migrate` round trips over a shared data dir). Levels record
 // hardware_concurrency so scaling numbers are read against the cores that
 // were actually available.
 //
@@ -53,7 +52,6 @@ using dbre::service::Server;
 using dbre::service::ServerOptions;
 using dbre::service::SocketChannel;
 using dbre::service::TcpConnect;
-using dbre::service::TcpServer;
 
 using Clock = std::chrono::steady_clock;
 
@@ -382,19 +380,7 @@ int main(int argc, char** argv) {
           Json::Int(static_cast<int64_t>(
               std::thread::hardware_concurrency())));
 
-  // 1. The thread-per-connection TcpServer (the original baseline).
-  {
-    Server server(BenchServerOptions());
-    TcpServer tcp(&server);
-    if (!tcp.Start(0).ok()) Die("cannot bind loopback");
-    Json levels = Json::MakeArray();
-    RunLadder("tcp-thread", 0, tcp.port(), sessions_per_client, &levels);
-    doc.Set("levels", std::move(levels));
-    tcp.Stop();
-    server.sessions()->Shutdown();
-  }
-
-  // 2. The same Server behind the epoll event-loop transport.
+  // 1. One Server behind the epoll event-loop transport.
   {
     Server server(BenchServerOptions());
     EventLoopTransport transport(&server);
@@ -406,7 +392,7 @@ int main(int argc, char** argv) {
     server.sessions()->Shutdown();
   }
 
-  // 3. Router-fronted fleets: 1, 2 and 4 workers.
+  // 2. Router-fronted fleets: 1, 2 and 4 workers.
   Json cluster_levels = Json::MakeArray();
   for (int n : {1, 2, 4}) {
     std::vector<BenchWorker> workers;
@@ -427,7 +413,7 @@ int main(int argc, char** argv) {
   }
   doc.Set("cluster_levels", std::move(cluster_levels));
 
-  // 4. Migration latency.
+  // 3. Migration latency.
   doc.Set("migration", RunMigrationBench(32));
 
   std::printf("%s\n", doc.Dump().c_str());

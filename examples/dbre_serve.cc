@@ -1,8 +1,7 @@
 // dbre_serve — the dbred daemon: many concurrent reverse-engineering
 // sessions multiplexed over newline-delimited JSON.
 //
-//   dbre_serve [--port N] [--stdio] [--transport epoll|threads]
-//              [--worker-id ID] [--timeout-ms MS]
+//   dbre_serve [--port N] [--stdio] [--worker-id ID] [--timeout-ms MS]
 //              [--max-sessions N] [--max-inflight N] [--max-queued N]
 //              [--data-dir PATH] [--fsync-batch N] [--slow-op-ms MS]
 //              [--run-deadline-ms MS]
@@ -11,11 +10,6 @@
 //                   the chosen port prints as the first stdout line)
 //   --stdio         serve exactly one client over stdin/stdout instead
 //                   of TCP (inetd-style; handy for tests and pipes)
-//   --transport T   TCP serving machinery: "epoll" (default) is the
-//                   event-loop transport — one loop thread, on-demand
-//                   handler pool, bounded pipelining and write-side
-//                   backpressure (docs/CLUSTER.md); "threads" is the
-//                   classic thread-per-connection accept loop
 //   --worker-id ID  identify this daemon in a multi-worker fleet behind
 //                   dbre_router: sessions it owns are stamped with ID in
 //                   the shared --data-dir, and on startup it recovers
@@ -63,7 +57,10 @@
 // --enable-failpoints) arm named failure sites across the store and
 // service (docs/ROBUSTNESS.md).
 //
-// In TCP mode the daemon runs until a client sends {"cmd":"shutdown"}.
+// In TCP mode the daemon serves the epoll event-loop transport — one loop
+// thread, an on-demand handler pool, bounded pipelining and write-side
+// backpressure (docs/CLUSTER.md) — until a client sends
+// {"cmd":"shutdown"}.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,7 +76,6 @@ namespace {
 struct ServeArgs {
   int port = 7411;
   bool stdio = false;
-  std::string transport = "epoll";
   std::string worker_id;
   long timeout_ms = -1;
   long max_sessions = -1;
@@ -112,12 +108,6 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
       args->port = static_cast<int>(value);
     } else if (flag == "--stdio") {
       args->stdio = true;
-    } else if (flag == "--transport") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--transport requires a value\n");
-        return false;
-      }
-      args->transport = argv[++i];
     } else if (flag == "--worker-id") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--worker-id requires a value\n");
@@ -166,8 +156,8 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
 
 void PrintUsage() {
   std::printf(
-      "usage: dbre_serve [--port N] [--stdio] [--transport epoll|threads]\n"
-      "                  [--worker-id ID] [--timeout-ms MS]\n"
+      "usage: dbre_serve [--port N] [--stdio] [--worker-id ID] "
+      "[--timeout-ms MS]\n"
       "                  [--max-sessions N] [--max-inflight N] "
       "[--max-queued N]\n"
       "                  [--data-dir PATH] [--buffer-pool-mb N]\n"
@@ -223,11 +213,6 @@ int main(int argc, char** argv) {
   }
   options.enable_failpoints = args.enable_failpoints;
   options.sessions.worker_id = args.worker_id;
-  if (args.transport != "epoll" && args.transport != "threads") {
-    std::fprintf(stderr, "dbre_serve: unknown --transport '%s' "
-                 "(epoll|threads)\n", args.transport.c_str());
-    return 2;
-  }
   dbre::service::Server server(options);
   if (!args.data_dir.empty()) {
     if (auto status = server.sessions()->store_status(); !status.ok()) {
@@ -255,34 +240,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.transport == "epoll") {
-    dbre::cluster::EventLoopTransport transport(&server);
-    if (auto status = transport.Start(static_cast<uint16_t>(args.port));
-        !status.ok()) {
-      std::fprintf(stderr, "dbre_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("%u\n", transport.port());
-    std::fflush(stdout);
-    std::fprintf(stderr, "dbred listening on 127.0.0.1:%u (epoll)\n",
-                 transport.port());
-    transport.WaitUntilShutdown();
-    transport.Stop();
-    server.sessions()->Shutdown();
-    return 0;
-  }
-
-  dbre::service::TcpServer tcp(&server);
-  if (auto status = tcp.Start(static_cast<uint16_t>(args.port));
+  dbre::cluster::EventLoopTransport transport(&server);
+  if (auto status = transport.Start(static_cast<uint16_t>(args.port));
       !status.ok()) {
     std::fprintf(stderr, "dbre_serve: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("%u\n", tcp.port());
+  std::printf("%u\n", transport.port());
   std::fflush(stdout);
-  std::fprintf(stderr, "dbred listening on 127.0.0.1:%u\n", tcp.port());
-  tcp.WaitUntilShutdown();
-  tcp.Stop();
+  std::fprintf(stderr, "dbred listening on 127.0.0.1:%u (epoll)\n",
+               transport.port());
+  transport.WaitUntilShutdown();
+  transport.Stop();
   server.sessions()->Shutdown();
   return 0;
 }

@@ -1,12 +1,9 @@
 // EventLoopServer ↔ service::Server glue.
 //
-// Serves the dbred NDJSON protocol over the epoll event loop behind the
-// same lifecycle surface as service::TcpServer (Start / port /
-// WaitUntilShutdown / Stop), so dbre_serve picks the transport with one
-// flag and everything above the socket — Server, SessionManager, store —
-// is untouched. All protocol state lives in the Server; a dropped
-// connection never takes a session with it, exactly as with the
-// thread-per-connection transport.
+// Serves the dbred NDJSON protocol over the epoll event loop (Start / port
+// / WaitUntilShutdown / Stop); everything above the socket — Server,
+// SessionManager, store — is untouched. All protocol state lives in the
+// Server, so a dropped connection never takes a session with it.
 #ifndef DBRE_CLUSTER_SERVICE_TRANSPORT_H_
 #define DBRE_CLUSTER_SERVICE_TRANSPORT_H_
 

@@ -16,26 +16,9 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 
 namespace dbre::service {
 namespace {
-
-struct TransportMetrics {
-  obs::Counter* accept_errors;
-};
-
-const TransportMetrics& Metrics() {
-  static const TransportMetrics metrics = [] {
-    obs::Registry& registry = obs::Registry::Default();
-    return TransportMetrics{
-        registry.GetCounter("dbre_accept_errors_total", {},
-                            "Transient accept() failures retried by the "
-                            "listener"),
-    };
-  }();
-  return metrics;
-}
 
 Status ErrnoStatus(const char* what) {
   return IoError(std::string(what) + ": " + std::strerror(errno));
@@ -130,10 +113,6 @@ Status SocketChannel::WriteLine(const std::string& line) {
   return Status::Ok();
 }
 
-void SocketChannel::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 Result<std::unique_ptr<SocketChannel>> TcpConnect(const std::string& host,
                                                   uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -202,122 +181,6 @@ size_t ServeChannel(Server* server, LineChannel* channel) {
     if (!channel->WriteLine(response).ok()) break;
   }
   return handled;
-}
-
-TcpServer::~TcpServer() { Stop(); }
-
-Status TcpServer::Start(uint16_t port) {
-  IgnoreSigpipeOnce();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return ErrnoStatus("socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    Status status = ErrnoStatus("bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    Status status = ErrnoStatus("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) != 0) {
-    Status status = ErrnoStatus("getsockname");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void TcpServer::AcceptLoop() {
-  // Transient accept() failures — EMFILE/ENFILE when fds run out,
-  // ECONNABORTED when a client gives up in the backlog, ENOMEM under
-  // pressure — must not kill the listener for every future client. Back
-  // off (capped) and keep accepting; only Stop() closing the listener
-  // ends the loop.
-  int64_t backoff_ms = 1;
-  while (true) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd >= 0 && Failpoints::Check("service.accept").action !=
-                       FailpointHit::Action::kNone) {
-      ::close(fd);
-      fd = -1;
-      errno = ECONNABORTED;
-    }
-    if (fd < 0) {
-      if (listen_fd_.load() < 0) return;  // listener closed by Stop()
-      if (errno == EINTR) continue;
-      Metrics().accept_errors->Add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min<int64_t>(backoff_ms * 2, 100);
-      continue;
-    }
-    backoff_ms = 1;
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto channel = std::make_shared<SocketChannel>(fd);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      channel->ShutdownBoth();
-      return;
-    }
-    connections_.push_back(channel);
-    connection_threads_.emplace_back([this, channel] {
-      ServeChannel(server_, channel.get());
-      if (server_->shutdown_requested()) {
-        std::lock_guard<std::mutex> signal_lock(mutex_);
-        shutdown_cv_.notify_all();
-      }
-    });
-  }
-}
-
-void TcpServer::WaitUntilShutdown() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  shutdown_cv_.wait(lock, [this] {
-    return stopping_ || server_->shutdown_requested();
-  });
-}
-
-void TcpServer::Stop() {
-  std::vector<std::shared_ptr<SocketChannel>> connections;
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-    connections.swap(connections_);
-    threads.swap(connection_threads_);
-  }
-  if (int fd = listen_fd_.exchange(-1); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable() &&
-      accept_thread_.get_id() != std::this_thread::get_id()) {
-    accept_thread_.join();
-  }
-  for (const auto& connection : connections) connection->ShutdownBoth();
-  for (std::thread& thread : threads) {
-    if (thread.get_id() == std::this_thread::get_id()) {
-      thread.detach();
-    } else {
-      thread.join();
-    }
-  }
 }
 
 }  // namespace dbre::service

@@ -3,22 +3,17 @@
 //
 // A `LineChannel` frames the protocol: blocking one-line reads and writes.
 // `ServeChannel` pumps one client connection against a Server until EOF or
-// server shutdown. `TcpServer` owns the listening socket, an accept loop
-// and one thread per connection — all state still lives in the Server, so
-// a dropped connection never takes a session with it.
+// server shutdown. The TCP listener is the epoll event loop
+// (cluster/service_transport.h); this file holds its clients' side.
 #ifndef DBRE_SERVICE_TRANSPORT_H_
 #define DBRE_SERVICE_TRANSPORT_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <istream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "service/server.h"
@@ -62,9 +57,6 @@ class SocketChannel : public LineChannel {
   Result<std::string> ReadLine() override;
   Status WriteLine(const std::string& line) override;
 
-  // Forces any blocked ReadLine to return (used on server stop).
-  void ShutdownBoth();
-
   int fd() const { return fd_; }
 
  private:
@@ -92,46 +84,6 @@ Result<std::unique_ptr<SocketChannel>> TcpConnectWithRetry(
 // until EOF, a write failure, or server shutdown. Returns the number of
 // requests handled.
 size_t ServeChannel(Server* server, LineChannel* channel);
-
-// The accept loop: one thread per connection, each running ServeChannel.
-class TcpServer {
- public:
-  explicit TcpServer(Server* server) : server_(server) {}
-  ~TcpServer();
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  // Binds 127.0.0.1:`port` (0 = ephemeral; see port() for the result) and
-  // starts accepting.
-  Status Start(uint16_t port);
-
-  uint16_t port() const { return port_; }
-
-  // Closes the listener and every live connection, then joins all threads.
-  // Idempotent; also called by the destructor. Do not call from a
-  // connection thread — use WaitUntilShutdown in the owner instead.
-  void Stop();
-
-  // Blocks the owning thread until some client issues `shutdown` (a
-  // connection thread signals it); the owner then calls Stop.
-  void WaitUntilShutdown();
-
- private:
-  void AcceptLoop();
-
-  Server* server_;
-  // Atomic: Stop() invalidates it from another thread while AcceptLoop()
-  // is between accept() calls.
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::mutex mutex_;
-  std::condition_variable shutdown_cv_;
-  bool stopping_ = false;
-  std::vector<std::shared_ptr<SocketChannel>> connections_;
-  std::vector<std::thread> connection_threads_;
-};
 
 }  // namespace dbre::service
 

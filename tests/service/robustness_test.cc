@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/service_transport.h"
 #include "common/failpoint.h"
 #include "paper_session_util.h"
 #include "service/server.h"
@@ -257,11 +258,11 @@ TEST_F(RobustnessTest, WatchdogSparesRunsWaitingInTheQueue) {
 
 TEST_F(RobustnessTest, AcceptLoopSurvivesInjectedAcceptErrors) {
   Server server;
-  TcpServer tcp(&server);
+  cluster::EventLoopTransport tcp(&server);
   ASSERT_TRUE(tcp.Start(0).ok());
 
-  // The next two accepted connections fail server-side; the loop must
-  // back off and keep accepting instead of exiting.
+  // The next two accepted connections fail server-side; the listener
+  // must keep accepting instead of exiting.
   ASSERT_TRUE(
       Failpoints::Instance().Arm("service.accept", "error*2").ok());
 

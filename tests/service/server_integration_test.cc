@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/service_transport.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "service/transport.h"
@@ -110,7 +111,7 @@ TEST(ServerIntegrationTest, EightConcurrentSessionsMatchScriptedPipeline) {
   ServerOptions options;
   options.sessions.max_inflight_runs = 8;  // all sessions truly concurrent
   Server server(options);
-  TcpServer tcp(&server);
+  cluster::EventLoopTransport tcp(&server);
   ASSERT_TRUE(tcp.Start(0).ok());
 
   constexpr int kSessions = 8;
@@ -142,7 +143,7 @@ TEST(ServerIntegrationTest, EightConcurrentSessionsMatchScriptedPipeline) {
 TEST(ServerIntegrationTest, ObserverCanAnswerAnotherClientsQuestion) {
   ServerOptions options;
   Server server(options);
-  TcpServer tcp(&server);
+  cluster::EventLoopTransport tcp(&server);
   ASSERT_TRUE(tcp.Start(0).ok());
   const PaperInputs inputs = BuildPaperInputs();
 
@@ -239,7 +240,7 @@ TEST(ServerIntegrationTest, MetricsCommandCoversEveryLayer) {
   options.sessions.journal.fsync_batch = 1;
   options.slow_op_ms = 1;  // arm the slow-op log
   Server server(options);
-  TcpServer tcp(&server);
+  cluster::EventLoopTransport tcp(&server);
   ASSERT_TRUE(tcp.Start(0).ok());
 
   Client client(tcp.port());
@@ -330,7 +331,7 @@ TEST(ServerIntegrationTest, PagedModeIsByteIdenticalAndReleasesOnClose) {
   options.sessions.data_dir = dir.string();
   options.sessions.buffer_pool_bytes = 1;  // clamp to the minimum frames
   Server server(options);
-  TcpServer tcp(&server);
+  cluster::EventLoopTransport tcp(&server);
   ASSERT_TRUE(tcp.Start(0).ok());
 
   const PaperInputs inputs = BuildPaperInputs();
