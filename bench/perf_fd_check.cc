@@ -1,14 +1,12 @@
-// P4 — verifying one FD against the extension: the hash-witness check used
-// by RHS-Discovery (one pass, NULL-LHS tuples skipped) versus the
-// stripped-partition machinery used by the levelwise miner (amortizes
-// across many candidate FDs, but costs more for a single check).
+// P4 — verifying one FD against the extension: the check RHS-Discovery
+// uses (memoized query-cache partitions, NULL-LHS tuples skipped), cold
+// and warm, against the row-at-a-time naive reference.
 #include <map>
 #include <memory>
 #include <random>
 
 #include <benchmark/benchmark.h>
 
-#include "deps/partition.h"
 #include "relational/algebra.h"
 #include "support/naive_algebra.h"
 #include "support/table_rows.h"
@@ -133,40 +131,6 @@ BENCHMARK(BM_FdCheckNaive)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(400000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_FdCheckPartitions(benchmark::State& state) {
-  const dbre::Table& table = CachedTable(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto pa = dbre::StrippedPartition::ForColumn(table, 0);
-    auto pb = dbre::StrippedPartition::ForColumn(table, 1);
-    bool holds = pa->Refines(*pb);
-    benchmark::DoNotOptimize(holds);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_FdCheckPartitions)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(400000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_FdCheckPartitionsAmortized(benchmark::State& state) {
-  // When the single-column partitions are reused (as the miner does), the
-  // marginal cost of one more FD check is just the Refines call.
-  const dbre::Table& table = CachedTable(static_cast<size_t>(state.range(0)));
-  auto pa = dbre::StrippedPartition::ForColumn(table, 0);
-  auto pb = dbre::StrippedPartition::ForColumn(table, 1);
-  for (auto _ : state) {
-    bool holds = pa->Refines(*pb);
-    benchmark::DoNotOptimize(holds);
-  }
-}
-BENCHMARK(BM_FdCheckPartitionsAmortized)
-    ->Arg(1000)
-    ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,18 +1,26 @@
 #include "deps/fd_miner.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 
-#include "deps/partition.h"
+#include "relational/query_cache.h"
 
 namespace dbre {
 namespace {
 
-// Candidate LHS node in the levelwise search.
+// Candidate LHS node in the levelwise search: X, its schema indexes in
+// ascending order (the partition memo key), and |π_X|.
 struct Node {
   AttributeSet attributes;
-  StrippedPartition partition;
+  std::vector<size_t> columns;
+  size_t groups = 0;
 };
+
+std::vector<size_t> WithColumn(std::vector<size_t> columns, size_t column) {
+  columns.insert(std::upper_bound(columns.begin(), columns.end(), column),
+                 column);
+  return columns;
+}
 
 }  // namespace
 
@@ -28,21 +36,21 @@ Result<std::vector<FunctionalDependency>> MineFds(
   std::vector<FunctionalDependency> discovered;
   if (arity < 2) return discovered;
 
-  // Single-column partitions.
-  std::vector<StrippedPartition> column_partitions;
-  column_partitions.reserve(arity);
-  for (size_t c = 0; c < arity; ++c) {
-    DBRE_ASSIGN_OR_RETURN(StrippedPartition p,
-                          StrippedPartition::ForColumn(table, c));
-    column_partitions.push_back(std::move(p));
-    ++s->partitions_built;
-  }
+  // X → a holds iff |π_X| == |π_{X∪a}|, with NULL grouped as a value.
+  // The table's query cache memoizes every partition, so π_{X∪a} built
+  // for a check at one level is the node partition of the next.
+  DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
+                        table.query_cache());
+  auto num_groups = [&cache](const std::vector<size_t>& columns) {
+    return cache->Partition(columns, NullPolicy::kNullAsValue)->num_groups();
+  };
 
-  // Level 1 nodes.
+  // Level 1 nodes: the single-column partitions.
   std::vector<Node> level;
   for (size_t c = 0; c < arity; ++c) {
     level.push_back(Node{AttributeSet::Single(schema.attributes()[c].name),
-                         column_partitions[c]});
+                         {c}, num_groups({c})});
+    ++s->partitions_built;
   }
 
   auto column_index = [&](const std::string& name) -> size_t {
@@ -77,7 +85,7 @@ Result<std::vector<FunctionalDependency>> MineFds(
           return discovered;
         }
         ++s->candidates_checked;
-        if (node.partition.Refines(column_partitions[c])) {
+        if (num_groups(WithColumn(node.columns, c)) == node.groups) {
           discovered.emplace_back(schema.name(), node.attributes,
                                   AttributeSet::Single(dependent));
         }
@@ -114,9 +122,10 @@ Result<std::vector<FunctionalDependency>> MineFds(
           }
         }
         if (redundant) continue;
-        next.push_back(Node{std::move(extended),
-                            node.partition.Intersect(
-                                column_partitions[column_index(name)])});
+        std::vector<size_t> columns =
+            WithColumn(node.columns, column_index(name));
+        const size_t groups = num_groups(columns);
+        next.push_back(Node{std::move(extended), std::move(columns), groups});
       }
     }
     level = std::move(next);

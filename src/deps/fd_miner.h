@@ -3,8 +3,9 @@
 // This is the unguided baseline the paper cites as ref [12] (Mannila &
 // Räihä, "Algorithms for Inferring Functional Dependencies from Relations"):
 // enumerate candidate LHS sets level by level, verify each candidate FD
-// against the extension using stripped partitions (TANE-style), and keep
-// only minimal dependencies. The DBRE method of the paper avoids this whole
+// against the extension by comparing partition sizes (TANE-style, over the
+// table's memoized query-cache partitions), and keep only minimal
+// dependencies. The DBRE method of the paper avoids this whole
 // search by checking just the FDs suggested by the equi-join workload;
 // experiment P3 quantifies the difference.
 #ifndef DBRE_DEPS_FD_MINER_H_
@@ -33,7 +34,8 @@ struct FdMinerStats {
 };
 
 // Mines all minimal FDs X → a of `table` with |X| ≤ options.max_lhs_size,
-// using NULL-as-value semantics (see partition.h). Results are sorted.
+// with NULL grouped as an ordinary value (two NULLs agree; FD checks
+// elsewhere skip NULL-LHS rows instead). Results are sorted.
 Result<std::vector<FunctionalDependency>> MineFds(
     const Table& table, const FdMinerOptions& options = {},
     FdMinerStats* stats = nullptr);
