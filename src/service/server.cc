@@ -493,6 +493,11 @@ Result<Json> Server::HandleWatch(const Request& request,
     DBRE_RETURN_IF_ERROR(MovedCheck(session->id(), error_details));
   }
 
+  // Read the published seq before the events: every event up to it is
+  // then either returned below or already gone from the ring, so the
+  // cursor never moves past an event this response does not carry (one
+  // published in between comes with the next watch).
+  const uint64_t published = session->event_seq();
   std::vector<Json> events = session->EventsSince(after_seq);
   uint64_t next_seq = after_seq;
   Json list = Json::MakeArray();
@@ -503,7 +508,7 @@ Result<Json> Server::HandleWatch(const Request& request,
   }
   // Events older than the ring's capacity are gone; advance the cursor
   // past the gap so a lagging watcher cannot spin on a hole forever.
-  next_seq = std::max(next_seq, session->event_seq());
+  next_seq = std::max(next_seq, published);
   Json result = Json::MakeObject();
   result.Set("events", std::move(list));
   result.Set("next_seq", Json::Int(static_cast<int64_t>(next_seq)));

@@ -225,6 +225,58 @@ TEST(MutationWatchTest, WatchLongPollWakesOnMutation) {
   EXPECT_EQ(empty.GetString("state"), "done");
 }
 
+// Mutations land while a watcher polls back to back: every response's
+// cursor must stop at the last event it carries, so the stream arrives
+// whole and in order. (A cursor read after the events skipped an event
+// published in between, and a client waiting for it hung.)
+TEST(MutationWatchTest, WatchCursorNeverSkipsAnEvent) {
+  Server server;
+  LineClient client(&server);
+  std::string session = SetUpSession(client, "race");
+  RunToDone(client, session);
+  int64_t cursor = client.MustCall(Command("watch", session)).GetInt("next_seq");
+
+  constexpr int kMutations = 200;  // below the event ring's capacity
+  std::thread writer([&server, session] {
+    LineClient side(&server);
+    for (int i = 0; i < kMutations; ++i) {
+      Json mutate = Command("mutate", session);
+      mutate.Set("sql", Json::Str("UPDATE emp SET dept = " +
+                                  std::to_string(i) + " WHERE id = 1;"));
+      side.MustCall(std::move(mutate));
+    }
+  });
+  int seen = 0;
+  std::string failure;
+  while (seen < kMutations && failure.empty()) {
+    Json watch = Command("watch", session);
+    watch.Set("after_seq", Json::Int(cursor));
+    watch.Set("timeout_ms", Json::Int(5'000));
+    Json result = client.MustCall(std::move(watch));
+    const Json* events = result.Find("events");
+    if (events == nullptr || events->array().empty()) {
+      failure = "no event arrived after seq " + std::to_string(cursor);
+      break;
+    }
+    for (const Json& event : events->array()) {
+      if (event.GetInt("seq") != cursor + 1) {
+        failure = "event " + std::to_string(event.GetInt("seq")) +
+                  " followed cursor " + std::to_string(cursor);
+        break;
+      }
+      cursor = event.GetInt("seq");
+      ++seen;
+    }
+    if (failure.empty() && result.GetInt("next_seq") != cursor) {
+      failure = "cursor moved to " + std::to_string(result.GetInt("next_seq")) +
+                " past the last returned event " + std::to_string(cursor);
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(failure.empty()) << failure;
+  EXPECT_EQ(seen, kMutations);
+}
+
 // The tentpole equivalence at the service layer: mutate + rerun must
 // produce the same report as a fresh session loaded with the mutated
 // extension from scratch.
