@@ -14,7 +14,6 @@
 
 #include "common/failpoint.h"
 #include "obs/metrics.h"
-#include "pagestore/key_index.h"
 #include "relational/column_batch.h"
 #include "relational/encoded_table.h"
 #include "store/crc32c.h"
@@ -453,13 +452,11 @@ Result<std::shared_ptr<PagedSnapshot>> PagedSnapshot::Open(
   }
 
   auto snapshot = std::shared_ptr<PagedSnapshot>(new PagedSnapshot());
-  snapshot->path_ = path;
   snapshot->pool_ = pool;
   snapshot->file_size_ = size;
   snapshot->rows_ = rows;
   snapshot->schema_ = std::move(parsed->schema);
   snapshot->columns_.resize(columns);
-  snapshot->indexes_.resize(columns);
 
   for (uint32_t c = 0; c < columns; ++c) {
     std::string page_name = "column page " + std::to_string(c);
@@ -680,16 +677,6 @@ Status PagedSnapshot::ForEachDictValue(
     const std::function<void(uint32_t code, const Value& value)>& fn) const {
   const Column& col = columns_[column];
   return WalkDict(column, 0, col.dict_size, col.dict_begin, fn);
-}
-
-Result<std::shared_ptr<const PagedKeyIndex>> PagedSnapshot::KeyIndexFor(
-    size_t column) const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (indexes_[column] != nullptr) return indexes_[column];
-  DBRE_ASSIGN_OR_RETURN(std::shared_ptr<const PagedKeyIndex> index,
-                        SnapshotKeyIndex::Create(*this, column));
-  indexes_[column] = index;
-  return index;
 }
 
 Result<std::shared_ptr<PagedSnapshot>> OpenSnapshotPaged(

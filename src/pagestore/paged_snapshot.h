@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,18 +65,14 @@ class PagedSnapshot : public PagedSource,
       size_t column,
       const std::function<void(uint32_t code, const Value& value)>& fn)
       const override;
-  Result<std::shared_ptr<const PagedKeyIndex>> KeyIndexFor(
-      size_t column) const override;
 
   // --- extras for the service layer ------------------------------------
   const RelationSchema& schema() const { return schema_; }
-  const std::string& path() const { return path_; }
   BufferPool* pool() const { return pool_.get(); }
   uint32_t file_id() const { return file_id_; }
 
  private:
   friend class SnapshotCodeCursor;
-  friend class SnapshotKeyIndex;
 
   struct Column {
     uint64_t payload_begin = 0;  // file offset of dict_size field
@@ -105,7 +100,6 @@ class PagedSnapshot : public PagedSource,
                   const std::function<void(uint32_t, const Value&)>& fn)
       const;
 
-  std::string path_;
   std::shared_ptr<BufferPool> pool_;
   uint32_t file_id_ = 0;
   uint64_t file_size_ = 0;
@@ -113,9 +107,6 @@ class PagedSnapshot : public PagedSource,
   uint64_t fingerprint_ = 0;
   RelationSchema schema_;
   std::vector<Column> columns_;
-
-  mutable std::mutex index_mutex_;
-  mutable std::vector<std::shared_ptr<const PagedKeyIndex>> indexes_;
 };
 
 // Convenience used by the service layer and tests.

@@ -31,50 +31,11 @@ void CheckStream(const Status& status) {
   std::abort();
 }
 
-// The build side's on-disk key index when membership probes should use it:
-// paged column, gate on, index built (or loaded) cleanly. nullptr falls
-// back to materialized sets — results are identical either way.
-std::shared_ptr<const PagedKeyIndex> BuildSideKeyIndex(QueryCache& build_cache,
-                                                       size_t build_column) {
-  const EncodedTable& encoded = build_cache.encoded();
-  if (!encoded.paged() || !PagedIndexEnabled()) return nullptr;
-  Result<std::shared_ptr<const PagedKeyIndex>> index =
-      encoded.paged_source()->KeyIndexFor(encoded.paged_column(build_column));
-  if (!index.ok()) return nullptr;
-  static obs::Counter* const probes = obs::Registry::Default().GetCounter(
-      "dbre_pagestore_index_probe_batches_total", {},
-      "Membership probe batches served by a paged key index");
-  probes->Add(1);
-  return *index;
-}
-
-// Whether `value` appears in the (paged) build column, through its key
-// index. Exact indexes compare raw int64 bit patterns; inexact indexes
-// probe by sketch hash and verify every candidate by decoding.
-bool IndexContains(const EncodedTable& build_encoded, size_t build_column,
-                   const PagedKeyIndex& index, const Value& value) {
-  if (index.exact()) {
-    // An exact index only exists over homogeneously int64 columns, so a
-    // non-int probe value can never match (Value equality is tag-strict).
-    return value.is_int() &&
-           index.ContainsKey(static_cast<uint64_t>(value.as_int()));
-  }
-  bool found = false;
-  CheckStream(index.ForEachCode(
-      SketchHash(value), [&](uint32_t code) {
-        if (build_encoded.DecodeValue(build_column, code) == value) {
-          found = true;
-          return false;
-        }
-        return true;
-      }));
-  return found;
-}
-
 // Number of probe-dictionary values present in the build column, exact:
-// through the build side's key index when it is paged, vectorized over the
-// flat int64 dictionary keys when both sides are typed int64, and over
-// decoded Values otherwise.
+// vectorized over the flat int64 dictionary keys when both sides are typed
+// int64, and over decoded Values otherwise. Paged and resident columns take
+// the same path: either kind of dictionary streams into the build side's
+// memoized set.
 size_t SingleColumnIntersection(QueryCache& probe_cache, size_t probe_column,
                                 QueryCache& build_cache,
                                 size_t build_column) {
@@ -83,29 +44,6 @@ size_t SingleColumnIntersection(QueryCache& probe_cache, size_t probe_column,
   if (n == 0) return 0;
   std::shared_ptr<const DictionaryKeys> keys =
       probe_cache.DictKeys(probe_column);
-
-  // Paged build side: probe against the on-disk key index instead of
-  // materializing the build dictionary as a set.
-  std::shared_ptr<const PagedKeyIndex> index =
-      BuildSideKeyIndex(build_cache, build_column);
-  if (index != nullptr) {
-    const EncodedTable& build_encoded = build_cache.encoded();
-    size_t joined = 0;
-    if (index->exact() && !keys->int64_keys.empty()) {
-      for (uint64_t key : keys->int64_keys) {
-        if (index->ContainsKey(key)) ++joined;
-      }
-      return joined;
-    }
-    CheckStream(probe_encoded.ForEachDictValue(
-        probe_column, [&](uint32_t, const Value& value) {
-          if (IndexContains(build_encoded, build_column, *index, value)) {
-            ++joined;
-          }
-        }));
-    return joined;
-  }
-
   if (!keys->int64_keys.empty()) {
     std::shared_ptr<const FlatSet64> build_ints =
         build_cache.Int64DictionarySet(build_column);
@@ -253,67 +191,19 @@ Result<bool> InclusionHolds(const Database& database,
   if (lhs_indexes.size() == 1) {
     // Single attribute: r_i[Y] ⊆ r_j[Z] iff every lhs dictionary value is
     // in the rhs dictionary. A strictly larger lhs dictionary refutes
-    // outright (exact cardinalities); otherwise the exact membership scan
+    // outright (exact cardinalities); otherwise the exact intersection
     // decides.
     const size_t lc = lhs_indexes[0];
     const size_t rc = rhs_indexes[0];
     lhs_cache->EnsureEncoded(lhs_indexes);
     rhs_cache->EnsureEncoded(rhs_indexes);
-    const EncodedTable& lhs_encoded = lhs_cache->encoded();
-    const size_t lhs_size = lhs_encoded.dict_size(lc);
-    if (lhs_size == 0) return true;
+    const size_t lhs_size = lhs_cache->encoded().dict_size(lc);
     if (lhs_size > rhs_cache->encoded().dict_size(rc)) {
       CardinalityRefutes()->Add(1);
       return false;
     }
-    // Paged rhs: probe every lhs dictionary value against the on-disk key
-    // index instead of materializing the rhs dictionary as a set.
-    std::shared_ptr<const PagedKeyIndex> index = BuildSideKeyIndex(*rhs_cache, rc);
-    if (index != nullptr) {
-      const EncodedTable& rhs_encoded = rhs_cache->encoded();
-      if (index->exact() && lhs_encoded.column_typed(lc) &&
-          lhs_encoded.declared_type(lc) == DataType::kInt64) {
-        std::shared_ptr<const DictionaryKeys> keys = lhs_cache->DictKeys(lc);
-        for (uint64_t key : keys->int64_keys) {
-          if (!index->ContainsKey(key)) return false;
-        }
-        return true;
-      }
-      bool included = true;
-      CheckStream(lhs_encoded.ForEachDictValue(
-          lc, [&](uint32_t, const Value& value) {
-            if (included &&
-                !IndexContains(rhs_encoded, rc, *index, value)) {
-              included = false;
-            }
-          }));
-      return included;
-    }
-    if (lhs_encoded.column_typed(lc) &&
-        lhs_encoded.declared_type(lc) == DataType::kInt64) {
-      std::shared_ptr<const FlatSet64> rhs_ints = rhs_cache->Int64DictionarySet(rc);
-      if (rhs_ints != nullptr) {
-        std::shared_ptr<const DictionaryKeys> keys = lhs_cache->DictKeys(lc);
-        std::vector<uint8_t> hit(lhs_size);
-        return batch::ProbeSet(*rhs_ints, keys->int64_keys.data(), lhs_size,
-                               hit.data()) == lhs_size;
-      }
-    }
-    std::shared_ptr<const ValueSet> rhs_values = rhs_cache->DictionarySet(rc);
-    if (lhs_encoded.dict_resident(lc)) {
-      for (uint32_t code = 0; code < lhs_size; ++code) {
-        if (!rhs_values->contains(lhs_encoded.Decode(lc, code))) {
-          return false;
-        }
-      }
-      return true;
-    }
-    bool included = true;
-    CheckStream(lhs_encoded.ForEachDictValue(
-        lc, [&](uint32_t, const Value& value) {
-          if (included && !rhs_values->contains(value)) included = false;
-        }));
-    return included;
+    return SingleColumnIntersection(*lhs_cache, lc, *rhs_cache, rc) ==
+           lhs_size;
   }
   // Multi-attribute: a larger lhs projection refutes outright (exact
   // memoized counts); otherwise every decoded lhs representative must be

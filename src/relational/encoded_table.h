@@ -33,6 +33,8 @@
 // computes the same answer in both modes. Small dictionaries (<=
 // kPagedDictMaterializeLimit entries) are materialized at EnsureColumn so
 // hot Decode loops stay in memory; larger ones stream through the pool.
+// Membership probes stream either kind of dictionary into the same
+// memoized sets (QueryCache::DictionarySet / Int64DictionarySet).
 #ifndef DBRE_RELATIONAL_ENCODED_TABLE_H_
 #define DBRE_RELATIONAL_ENCODED_TABLE_H_
 
@@ -105,8 +107,9 @@ class EncodedTable {
     return columns_[c]->codes;
   }
 
-  // Column `c`'s resident dictionary, code → value. Requires
-  // dict_resident(c).
+  // Column `c`'s resident dictionary, code → value. Requires the
+  // dictionary to be resident: always in in-memory mode, in paged mode
+  // only up to kPagedDictMaterializeLimit entries.
   const std::vector<Value>& dictionary(size_t c) const {
     return columns_[c]->dictionary;
   }
@@ -143,14 +146,8 @@ class EncodedTable {
 
   bool has_null(size_t c) const { return columns_[c]->has_null; }
 
-  // Whether column `c`'s dictionary is materialized in memory (always in
-  // in-memory mode; paged mode only up to kPagedDictMaterializeLimit).
-  bool dict_resident(size_t c) const {
-    return columns_[c]->dictionary.size() == columns_[c]->dict_count;
-  }
-
-  // The value a code stands for. Requires column_ready(c) and
-  // dict_resident(c).
+  // The value a code stands for. Requires column_ready(c) and a resident
+  // dictionary (see dictionary()).
   const Value& Decode(size_t c, uint32_t code) const {
     return columns_[c]->dictionary[code];
   }

@@ -3,7 +3,7 @@
 // A PagedSource is a read-only, dictionary-encoded column store whose
 // backing bytes live on disk behind a buffer pool (src/pagestore/). The
 // relational layer never sees pages: it sees per-column dictionaries and
-// code streams through the three interfaces below, and `EncodedTable`
+// code streams through the two interfaces below, and `EncodedTable`
 // wraps them so QueryCache / algebra / the SQL executor run the same
 // algorithms over paged and in-memory extensions — with byte-identical
 // results, enforced by the paged crosscheck tests.
@@ -18,8 +18,7 @@
 // live file). Cursors therefore fail fast — transient I/O errors are
 // retried inside the buffer pool; a persistent failure aborts the process
 // rather than silently degrading the byte-identical invariant. Paths that
-// can report errors cleanly (open, index build/load, dictionary walks)
-// return Status.
+// can report errors cleanly (open, dictionary walks) return Status.
 #ifndef DBRE_RELATIONAL_PAGED_SOURCE_H_
 #define DBRE_RELATIONAL_PAGED_SOURCE_H_
 
@@ -43,21 +42,6 @@ class PagedCodeCursor {
   virtual ~PagedCodeCursor() = default;
   virtual const uint32_t* Fetch(size_t start, size_t count) = 0;
   virtual uint32_t At(size_t row) = 0;
-};
-
-// A sorted-run index over one column's dictionary: (key, code) pairs
-// ordered by key, where key is the raw int64 bit pattern when `exact()`
-// (typed int64 columns) and the canonical SketchHash otherwise. Inexact
-// probes must verify candidates by decoding the dictionary value.
-class PagedKeyIndex {
- public:
-  virtual ~PagedKeyIndex() = default;
-  virtual bool exact() const = 0;
-  virtual bool ContainsKey(uint64_t key) const = 0;
-  // Invokes `fn` with every dictionary code whose key equals `key`, in
-  // code order within equal keys; stops early when fn returns false.
-  virtual Status ForEachCode(
-      uint64_t key, const std::function<bool(uint32_t code)>& fn) const = 0;
 };
 
 // A read-only paged extension: N columns over `num_rows` rows, each
@@ -89,30 +73,6 @@ class PagedSource {
       size_t column,
       const std::function<void(uint32_t code, const Value& value)>& fn)
       const = 0;
-
-  // The (lazily built, memoized) key index for `column`. Never called
-  // when the paged-index gate below is off.
-  virtual Result<std::shared_ptr<const PagedKeyIndex>> KeyIndexFor(
-      size_t column) const = 0;
-};
-
-// Process-wide gate for key-index probe fast paths (default on). Turning
-// it off routes paged membership probes through streamed exact sets
-// instead — results are identical either way; the crosscheck tests flip
-// the gate to prove it.
-bool PagedIndexEnabled();
-void SetPagedIndexEnabled(bool enabled);
-
-class ScopedPagedIndexGate {
- public:
-  explicit ScopedPagedIndexGate(bool enabled)
-      : previous_(PagedIndexEnabled()) {
-    SetPagedIndexEnabled(enabled);
-  }
-  ~ScopedPagedIndexGate() { SetPagedIndexEnabled(previous_); }
-
- private:
-  bool previous_;
 };
 
 }  // namespace dbre

@@ -130,14 +130,6 @@ inline uint64_t MixHash64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// The canonical 64-bit hash of a value: equal Values (possibly living in
-// different tables' dictionaries) always hash equal. Spilled key indexes
-// (pagestore/key_index.h) store these keys, so the function must not
-// change.
-inline uint64_t SketchHash(const Value& value) {
-  return MixHash64(static_cast<uint64_t>(value.Hash()));
-}
-
 // Chains per-column hashes into a row hash for multi-attribute keys,
 // starting from kRowHashSeed; order-sensitive (attribute lists are
 // ordered).

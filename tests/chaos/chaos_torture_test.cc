@@ -120,12 +120,10 @@ Schedule BuildSchedule(int seed) {
       case 0:  // every adoption fails: loads degrade to materialized
         schedule.spec = "pagestore.open=error";
         break;
-      case 1: {  // index spill/reuse faults: probes fall back to sets
-        std::string point =
-            pick({"pagestore.index_write", "pagestore.index_load"});
-        schedule.spec = point + "=error*" + std::to_string(1 + rng() % 3);
+      case 1:  // the first adoptions fail: resident and paged tables mix
+        schedule.spec =
+            "pagestore.open=error*" + std::to_string(1 + rng() % 3);
         break;
-      }
       case 2: {  // crash at a store edge while serving paged extensions
         // Low ordinals: the paper session only writes a handful of
         // snapshots, so the crash must land inside that budget to fire.

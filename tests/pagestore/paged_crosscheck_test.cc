@@ -1,10 +1,9 @@
 // The tentpole invariant of the paged storage subsystem: discovery over
 // page-backed extensions produces BYTE-IDENTICAL reports to the in-memory
-// run, with the key-index gate on and off, even with a buffer pool far
-// smaller than the extensions it serves. Also checks the
-// row-shaped exporters (CSV, INSERT batches) stream paged extensions
-// losslessly through Table::ForEachRow, and that Restruct over paged
-// sources matches the row-based reference.
+// run, even with a buffer pool far smaller than the extensions it serves.
+// Also checks the row-shaped exporters (CSV, INSERT batches) stream paged
+// extensions losslessly through Table::ForEachRow, and that Restruct over
+// paged sources matches the row-based reference.
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -108,16 +107,9 @@ TEST_F(PagedCrosscheckTest, PipelineReportIsByteIdenticalInEveryMode) {
   Database paged = PagedCopy(generated->database, pool);
   if (::testing::Test::HasFailure()) return;
 
-  {
-    // Default mode: key indexes on.
-    EXPECT_EQ(RunReport(paged, generated->queries), baseline);
-  }
-  {
-    ScopedPagedIndexGate no_index(false);
-    EXPECT_EQ(RunReport(paged, generated->queries), baseline);
-  }
+  EXPECT_EQ(RunReport(paged, generated->queries), baseline);
 
-  // The runs actually went through the pool, and page reads hit the cache.
+  // The run actually went through the pool, and page reads hit the cache.
   pagestore::BufferPool::Stats stats = pool->stats();
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.hits, 0u);

@@ -10,7 +10,6 @@
 
 #include "common/failpoint.h"
 #include "pagestore/buffer_pool.h"
-#include "pagestore/key_index.h"
 #include "relational/encoded_table.h"
 #include "relational/table.h"
 #include "store/snapshot.h"
@@ -246,173 +245,12 @@ TEST_F(PagedSnapshotTest, OpenFailpointSurfaces) {
   EXPECT_TRUE(OpenSnapshotPaged(Path("t.snap"), TinyPool()).ok());
 }
 
-TEST_F(PagedSnapshotTest, EmptyExtensionOpensAndIndexes) {
+TEST_F(PagedSnapshotTest, EmptyExtensionOpens) {
   Table table = MixedTable(0);
   ASSERT_TRUE(store::WriteSnapshot(table, Path("empty.snap")).ok());
   auto snap = OpenSnapshotPaged(Path("empty.snap"), TinyPool());
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ((*snap)->num_rows(), 0u);
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_FALSE((*index)->ContainsKey(0));
-}
-
-TEST_F(PagedSnapshotTest, ExactInt64IndexProbesByBitPattern) {
-  Table table = MixedTable(4000);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_TRUE((*index)->exact());
-  for (int i : {0, 1, 17, 3999}) {
-    uint64_t key = static_cast<uint64_t>(int64_t{i} * 7 - 3);
-    EXPECT_TRUE((*index)->ContainsKey(key)) << i;
-    uint32_t probed_code = EncodedTable::kNullCode;
-    ASSERT_TRUE((*index)
-                    ->ForEachCode(key,
-                                  [&](uint32_t code) {
-                                    probed_code = code;
-                                    return false;
-                                  })
-                    .ok());
-    ASSERT_NE(probed_code, EncodedTable::kNullCode);
-    auto value = (*snap)->DictValueAt(0, probed_code);
-    ASSERT_TRUE(value.ok());
-    EXPECT_EQ(*value, Value::Int(int64_t{i} * 7 - 3));
-  }
-  EXPECT_FALSE((*index)->ContainsKey(static_cast<uint64_t>(int64_t{5})));
-  EXPECT_FALSE((*index)->ContainsKey(static_cast<uint64_t>(int64_t{-4})));
-}
-
-TEST_F(PagedSnapshotTest, InexactIndexProbesBySketchHash) {
-  Table table = MixedTable(600);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-
-  auto index = (*snap)->KeyIndexFor(1);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_FALSE((*index)->exact());
-  for (const char* city : {"paris", "namur", "liège"}) {
-    uint64_t key = SketchHash(Value::Text(city));
-    EXPECT_TRUE((*index)->ContainsKey(key)) << city;
-    // An inexact hit must verify by decoding the candidate code.
-    bool verified = false;
-    ASSERT_TRUE((*index)
-                    ->ForEachCode(key,
-                                  [&](uint32_t code) {
-                                    auto value = (*snap)->DictValueAt(1, code);
-                                    EXPECT_TRUE(value.ok());
-                                    if (value.ok() &&
-                                        *value == Value::Text(city)) {
-                                      verified = true;
-                                      return false;
-                                    }
-                                    return true;
-                                  })
-                    .ok());
-    EXPECT_TRUE(verified) << city;
-  }
-  EXPECT_FALSE((*index)->ContainsKey(SketchHash(Value::Text("bruxelles"))));
-}
-
-TEST_F(PagedSnapshotTest, SpilledIndexIsReusedAcrossOpens) {
-  Table table = MixedTable(2500);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  {
-    auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-    ASSERT_TRUE(snap.ok());
-    ASSERT_TRUE((*snap)->KeyIndexFor(0).ok());
-  }
-  ASSERT_TRUE(fs::exists(Path("t.snap") + ".c0.idx"));
-
-  // A fresh open must satisfy KeyIndexFor from the spilled file: with
-  // writes failing, only a load can succeed.
-  ASSERT_TRUE(
-      Failpoints::Instance().Arm("pagestore.index_write", "error").ok());
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok());
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_TRUE(
-      (*index)->ContainsKey(static_cast<uint64_t>(int64_t{17} * 7 - 3)));
-}
-
-TEST_F(PagedSnapshotTest, CorruptSpilledIndexIsRebuilt) {
-  Table table = MixedTable(2500);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  {
-    auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-    ASSERT_TRUE(snap.ok());
-    ASSERT_TRUE((*snap)->KeyIndexFor(0).ok());
-  }
-  std::string idx_path = Path("t.snap") + ".c0.idx";
-  {
-    std::fstream f(idx_path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(100);
-    f.put('\x7f');
-  }
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok());
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_TRUE(
-      (*index)->ContainsKey(static_cast<uint64_t>(int64_t{17} * 7 - 3)));
-  EXPECT_FALSE((*index)->ContainsKey(static_cast<uint64_t>(int64_t{5})));
-}
-
-TEST_F(PagedSnapshotTest, IndexLoadFailpointFallsBackToRebuild) {
-  Table table = MixedTable(1200);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  {
-    auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-    ASSERT_TRUE(snap.ok());
-    ASSERT_TRUE((*snap)->KeyIndexFor(0).ok());
-  }
-  ASSERT_TRUE(
-      Failpoints::Instance().Arm("pagestore.index_load", "error#1").ok());
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok());
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_TRUE(
-      (*index)->ContainsKey(static_cast<uint64_t>(int64_t{0} * 7 - 3)));
-}
-
-TEST_F(PagedSnapshotTest, IndexWriteFailpointSurfacesOnFirstBuild) {
-  Table table = MixedTable(1200);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok());
-  ASSERT_TRUE(
-      Failpoints::Instance().Arm("pagestore.index_write", "error#1").ok());
-  auto failed = (*snap)->KeyIndexFor(2);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
-  auto retried = (*snap)->KeyIndexFor(2);
-  EXPECT_TRUE(retried.ok()) << retried.status().ToString();
-}
-
-TEST_F(PagedSnapshotTest, TornIndexWriteLeavesNoUsableFileBehind) {
-  Table table = MixedTable(1200);
-  ASSERT_TRUE(store::WriteSnapshot(table, Path("t.snap")).ok());
-  ASSERT_TRUE(
-      Failpoints::Instance().Arm("pagestore.index_write", "torn(40)#1").ok());
-  {
-    auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-    ASSERT_TRUE(snap.ok());
-    auto failed = (*snap)->KeyIndexFor(0);
-    ASSERT_FALSE(failed.ok());
-    // The torn temp file never reached the final name.
-    EXPECT_FALSE(fs::exists(Path("t.snap") + ".c0.idx"));
-  }
-  Failpoints::Instance().DisarmAll();
-  auto snap = OpenSnapshotPaged(Path("t.snap"), TinyPool());
-  ASSERT_TRUE(snap.ok());
-  auto index = (*snap)->KeyIndexFor(0);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
 }
 
 }  // namespace
