@@ -1,20 +1,22 @@
-// Opens a DBSNAP01 snapshot page-at-a-time instead of mmapping it whole.
+// Opens a DBSNAP01 snapshot page-at-a-time instead of loading it whole.
 //
-// Open() makes ONE streaming pass over the file with a small read buffer:
-// it verifies every checksum the whole-file loader verifies (schema CRC,
-// every column payload CRC, footer CRC + magics) using the identical error
-// messages, and on the side computes the CRC32C of every kPageSize-byte
-// page, which the buffer pool re-verifies on each read-back. Nothing row-
-// sized is materialized: per column, Open records the byte offsets of the
-// dictionary and code regions and builds a sparse dictionary directory
-// (one byte offset per kDictDirStride entries) so DictValueAt is O(stride)
-// page-local work. int64/double dictionaries are fixed-width (9 bytes per
-// entry) and addressed arithmetically. Values larger than a page — long
-// strings — simply span consecutive pages; the reader assembles them
-// across pins (the format needs no separate overflow-page chain).
+// Open() verifies the file through the store's one snapshot reader
+// (store::ScanSnapshot): the same checksums, dictionary entries and codes,
+// with the same error texts, as the whole-file load. It keeps only what it
+// serves from: per column, the byte offsets of the dictionary and code
+// regions and a sparse dictionary directory (one byte offset per
+// kDictDirStride entries) so DictValueAt is O(stride) page-local work, and
+// the CRC32C of every kPageSize-byte page, which the buffer pool
+// re-verifies on each read-back. The scan folds those page CRCs in as it
+// reads, so the open reads the file once. int64/double dictionaries are
+// fixed-width (9 bytes per entry) and addressed arithmetically. Values
+// larger than a page — long strings — simply span consecutive pages; the
+// reader assembles them across pins (the format needs no separate
+// overflow-page chain).
 //
-// A snapshot whose verification fails never attaches to the pool; the
-// service layer quarantines it exactly as it does for LoadSnapshot.
+// A snapshot the scan rejects never attaches to the pool; the store's
+// quarantine rule (store::Store::VetSnapshot) treats it as it treats a
+// rejected whole-file load.
 #ifndef DBRE_PAGESTORE_PAGED_SNAPSHOT_H_
 #define DBRE_PAGESTORE_PAGED_SNAPSHOT_H_
 
@@ -27,6 +29,7 @@
 #include "pagestore/buffer_pool.h"
 #include "relational/paged_source.h"
 #include "relational/schema.h"
+#include "store/snapshot.h"
 
 namespace dbre::pagestore {
 
@@ -46,18 +49,17 @@ class PagedSnapshot : public PagedSource,
   PagedSnapshot& operator=(const PagedSnapshot&) = delete;
 
   // --- PagedSource ------------------------------------------------------
-  size_t num_rows() const override { return rows_; }
-  size_t num_columns() const override { return columns_.size(); }
-  uint64_t fingerprint() const override { return fingerprint_; }
+  size_t num_rows() const override { return scan_.rows; }
+  size_t num_columns() const override { return scan_.columns.size(); }
+  uint64_t fingerprint() const override { return scan_.fingerprint; }
   uint32_t dict_size(size_t column) const override {
-    return columns_[column].dict_size;
+    return scan_.columns[column].dict_size;
   }
   bool has_null(size_t column) const override {
-    return columns_[column].has_null;
+    return scan_.columns[column].has_null;
   }
-  bool typed(size_t column) const override { return columns_[column].typed; }
   DataType declared_type(size_t column) const override {
-    return columns_[column].type;
+    return scan_.schema.attributes()[column].type;
   }
   std::unique_ptr<PagedCodeCursor> Codes(size_t column) const override;
   Result<Value> DictValueAt(size_t column, uint32_t code) const override;
@@ -67,46 +69,26 @@ class PagedSnapshot : public PagedSource,
       const override;
 
   // --- extras for the service layer ------------------------------------
-  const RelationSchema& schema() const { return schema_; }
+  const RelationSchema& schema() const { return scan_.schema; }
   BufferPool* pool() const { return pool_.get(); }
   uint32_t file_id() const { return file_id_; }
 
  private:
   friend class SnapshotCodeCursor;
 
-  struct Column {
-    uint64_t payload_begin = 0;  // file offset of dict_size field
-    uint64_t dict_begin = 0;     // file offset of the first dict entry
-    uint64_t codes_begin = 0;    // file offset of the code array
-    uint32_t dict_size = 0;
-    bool has_null = false;
-    bool typed = false;
-    bool fixed = false;  // 9-byte entries (int64/double)
-    DataType type = DataType::kString;
-    // Sparse directory for variable-width dictionaries: byte offset (from
-    // dict_begin) of entry i*kDictDirStride.
-    std::vector<uint64_t> directory;
-  };
-
   PagedSnapshot() = default;
 
-  // Reads `n` bytes at absolute file offset `off` through the pool.
-  Status ReadBytes(uint64_t off, size_t n, uint8_t* out) const;
-
-  // Walks dictionary entries [first, first+count) of `column`, starting at
-  // byte offset `entry_off` (from file start), invoking fn per entry.
-  Status WalkDict(size_t column, uint32_t first, uint32_t count,
-                  uint64_t entry_off,
+  // Walks dictionary entries [first, first+count), the first of which
+  // starts at file offset `entry_off`, invoking fn per entry.
+  Status WalkDict(uint32_t first, uint32_t count, uint64_t entry_off,
                   const std::function<void(uint32_t, const Value&)>& fn)
       const;
 
   std::shared_ptr<BufferPool> pool_;
   uint32_t file_id_ = 0;
-  uint64_t file_size_ = 0;
-  uint64_t rows_ = 0;
-  uint64_t fingerprint_ = 0;
-  RelationSchema schema_;
-  std::vector<Column> columns_;
+  // What the open verified and serves from: the schema and each column's
+  // offsets and dictionary directory.
+  store::ScannedSnapshot scan_;
 };
 
 // Convenience used by the service layer and tests.

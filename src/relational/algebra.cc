@@ -32,10 +32,10 @@ void CheckStream(const Status& status) {
 }
 
 // Number of probe-dictionary values present in the build column, exact:
-// vectorized over the flat int64 dictionary keys when both sides are typed
-// int64, and over decoded Values otherwise. Paged and resident columns take
-// the same path: either kind of dictionary streams into the build side's
-// memoized set.
+// vectorized over the flat int64 dictionary keys when both sides are
+// declared int64, and over decoded Values otherwise. Paged and resident
+// columns take the same path: either kind of dictionary streams into the
+// build side's memoized set.
 size_t SingleColumnIntersection(QueryCache& probe_cache, size_t probe_column,
                                 QueryCache& build_cache,
                                 size_t build_column) {

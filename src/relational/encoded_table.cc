@@ -134,8 +134,7 @@ EncodedTable::Column::Column(const Column& other)
     : codes(other.codes),
       dictionary(other.dictionary),
       dict_count(other.dict_count),
-      has_null(other.has_null),
-      typed(other.typed) {}
+      has_null(other.has_null) {}
 
 EncodedTable::Column::~Column() = default;
 
@@ -162,7 +161,6 @@ void EncodedTable::EnsureColumn(size_t c) {
   auto column = std::make_shared<Column>();
   const uint32_t pc = paged_columns_[c];
   column->has_null = paged_->has_null(pc);
-  column->typed = paged_->typed(pc);
   column->dict_count = paged_->dict_size(pc);
   if (column->dict_count <= kPagedDictMaterializeLimit) {
     column->dictionary.reserve(column->dict_count);
@@ -338,14 +336,16 @@ void EncodedTable::Compact() {
   }
 }
 
-Status EncodedTable::AdoptColumn(size_t c, std::vector<Value> dictionary,
-                                 std::vector<uint32_t> codes) {
-  bool has_null = false;
-  uint32_t next = 0;  // the code the next first appearance must take
-  for (const uint32_t code : codes) {
+Status EncodedTable::CodeCheck::Feed(const uint32_t* codes, size_t n) {
+  // Locals, not members, in the loop: a store to a member could alias
+  // `codes`, which would reload every code.
+  uint32_t next = next_;
+  bool has_null = has_null_;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t code = codes[i];
     if (code == kNullCode) {
       has_null = true;
-    } else if (code >= dictionary.size()) {
+    } else if (code >= dict_size_) {
       return InvalidArgumentError("out-of-range code");
     } else if (code == next) {
       ++next;
@@ -353,14 +353,28 @@ Status EncodedTable::AdoptColumn(size_t c, std::vector<Value> dictionary,
       return InvalidArgumentError("codes out of first-appearance order");
     }
   }
-  if (next != dictionary.size()) {
+  next_ = next;
+  has_null_ = has_null;
+  return Status::Ok();
+}
+
+Status EncodedTable::CodeCheck::Finish() const {
+  if (next_ != dict_size_) {
     return InvalidArgumentError("unused dictionary entries");
   }
+  return Status::Ok();
+}
+
+Status EncodedTable::AdoptColumn(size_t c, std::vector<Value> dictionary,
+                                 std::vector<uint32_t> codes) {
+  CodeCheck check(dictionary.size());
+  DBRE_RETURN_IF_ERROR(check.Feed(codes.data(), codes.size()));
+  DBRE_RETURN_IF_ERROR(check.Finish());
   Column& column = *MutableColumn(c);
   column.codes = std::move(codes);
+  column.dict_count = static_cast<uint32_t>(dictionary.size());
   column.dictionary = std::move(dictionary);
-  column.dict_count = next;
-  column.has_null = has_null;
+  column.has_null = check.has_null();
   column.index.reset();
   return Status::Ok();
 }
@@ -483,7 +497,6 @@ EncodedTable EncodedTable::Resident() const {
     const uint32_t pc = paged_columns_[c];
     Column& column = *out.columns_[c];
     column.has_null = paged_->has_null(pc);
-    column.typed = paged_->typed(pc);
     column.dict_count = paged_->dict_size(pc);
     column.dictionary.reserve(column.dict_count);
     Status status =

@@ -95,12 +95,6 @@ class EncodedTable {
   // The declared attribute type of column `c`.
   DataType declared_type(size_t c) const { return types_[c]; }
 
-  // Whether every non-NULL cell of `c` matches the declared type, i.e. the
-  // dictionary is homogeneous and typed cross-table comparison is valid.
-  // Always true in memory (writers enforce the type); paged sources record
-  // it. Requires column_ready(c).
-  bool column_typed(size_t c) const { return columns_[c]->typed; }
-
   // Dense codes of column `c`, one per row. In-memory mode only — paged
   // consumers stream through codes_reader() instead.
   const std::vector<uint32_t>& codes(size_t c) const {
@@ -247,11 +241,30 @@ class EncodedTable {
   // exactly its codes and dictionaries.
   void Compact();
 
+  // The encoding's invariant over one column's codes, checked as they
+  // stream by: every code is NULL or below the dictionary size, the codes
+  // take their first appearances in order, and (Finish) every entry is
+  // used. AdoptColumn and the snapshot scan share it.
+  class CodeCheck {
+   public:
+    explicit CodeCheck(size_t dict_size) : dict_size_(dict_size) {}
+
+    // Checks the column's next `n` codes.
+    Status Feed(const uint32_t* codes, size_t n);
+    // Checks, after the last code, that every entry was used.
+    Status Finish() const;
+    bool has_null() const { return has_null_; }
+
+   private:
+    size_t dict_size_;
+    uint32_t next_ = 0;  // the code the next first appearance must take
+    bool has_null_ = false;
+  };
+
   // Installs column `c` of an extension with no rows yet from a dictionary
   // and codes in this encoding's layout (a snapshot page). Fails, changing
-  // nothing, unless every code is NULL or in range, the codes take
-  // their first appearances in order and every entry is used. Once every
-  // column is installed, CommitAppendedRows records the rows.
+  // nothing, unless the codes pass CodeCheck. Once every column is
+  // installed, CommitAppendedRows records the rows.
   Status AdoptColumn(size_t c, std::vector<Value> dictionary,
                      std::vector<uint32_t> codes);
 
@@ -300,7 +313,6 @@ class EncodedTable {
     std::vector<Value> dictionary;  // code → value, when resident
     uint32_t dict_count = 0;        // distinct non-NULL values
     bool has_null = false;
-    bool typed = true;  // every dictionary value has the declared type
     // Value → code lookup for appends, built on first use and dropped by
     // any renumbering. Never shared: a copied column rebuilds its own.
     std::unique_ptr<DictionaryIndex> index;

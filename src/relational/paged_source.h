@@ -12,13 +12,15 @@
 // and consume paged sources without depending on pagestore (which itself
 // links relational for Value). pagestore implements the interfaces.
 //
-// Error contract: a source is fully verified when it is opened (every
-// checksum of every page), so steady-state reads of an open source fail
-// only on real environment faults (disk death, truncation underneath a
-// live file). Cursors therefore fail fast — transient I/O errors are
-// retried inside the buffer pool; a persistent failure aborts the process
-// rather than silently degrading the byte-identical invariant. Paths that
-// can report errors cleanly (open, dictionary walks) return Status.
+// Error contract: a source is fully verified when it is opened: every
+// checksum, every dictionary entry, and every code, which is NULL or below
+// its column's dict_size. Steady-state reads of an open source therefore
+// fail only on real environment faults (disk death, truncation underneath
+// a live file), and a code read from one can index a dictionary-sized
+// array. Cursors fail fast — transient I/O errors are retried inside the
+// buffer pool; a persistent failure aborts the process rather than
+// silently degrading the byte-identical invariant. Paths that can report
+// errors cleanly (open, dictionary walks) return Status.
 #ifndef DBRE_RELATIONAL_PAGED_SOURCE_H_
 #define DBRE_RELATIONAL_PAGED_SOURCE_H_
 
@@ -59,8 +61,6 @@ class PagedSource {
 
   virtual uint32_t dict_size(size_t column) const = 0;
   virtual bool has_null(size_t column) const = 0;
-  // True when every dictionary value matches the declared type.
-  virtual bool typed(size_t column) const = 0;
   virtual DataType declared_type(size_t column) const = 0;
 
   virtual std::unique_ptr<PagedCodeCursor> Codes(size_t column) const = 0;

@@ -295,10 +295,7 @@ std::shared_ptr<const FlatSet64> QueryCache::Int64DictionarySet(
   counters.Count(it != int64_dictionary_sets_.end());
   if (it != int64_dictionary_sets_.end()) return it->second;
   encoded_.EnsureColumn(column);
-  if (encoded_.declared_type(column) != DataType::kInt64 ||
-      !encoded_.column_typed(column)) {
-    return nullptr;
-  }
+  if (encoded_.declared_type(column) != DataType::kInt64) return nullptr;
   auto set = std::make_shared<FlatSet64>(encoded_.dict_size(column));
   CheckDictStream(encoded_.ForEachDictValue(
       column, [&set](uint32_t, const Value& value) {
@@ -497,8 +494,7 @@ std::shared_ptr<const DictionaryKeys> QueryCache::DictKeys(size_t column) {
   if (it != dictionary_keys_.end()) return it->second;
   encoded_.EnsureColumn(column);
   auto keys = std::make_shared<DictionaryKeys>();
-  if (encoded_.column_typed(column) &&
-      encoded_.declared_type(column) == DataType::kInt64) {
+  if (encoded_.declared_type(column) == DataType::kInt64) {
     keys->int64_keys.reserve(encoded_.dict_size(column));
     CheckDictStream(encoded_.ForEachDictValue(
         column, [&keys](uint32_t, const Value& value) {

@@ -76,11 +76,11 @@ struct CodePartition {
 
 // Flat probe keys for one column's dictionary, in code order — what the
 // batched membership kernels consume instead of per-code Value decoding.
-// `int64_keys` carries the raw values when the column is homogeneously
-// int64, making key equality exact; other columns get no keys (their
-// dictionaries are not streamed).
+// `int64_keys` carries the raw values of an int64 column, making key
+// equality exact; other columns get no keys (their dictionaries are not
+// streamed).
 struct DictionaryKeys {
-  std::vector<uint64_t> int64_keys;  // empty unless typed int64
+  std::vector<uint64_t> int64_keys;  // empty unless declared int64
 };
 
 // The three exact valuations of one cross-table join, as memoized here
@@ -129,9 +129,10 @@ class QueryCache {
   // the smaller side's dictionary against the larger side's set.
   std::shared_ptr<const ValueSet> DictionarySet(size_t column);
 
-  // Flat-integer variant of DictionarySet for homogeneous int64 columns —
-  // nullptr if `column` is not declared int64 or holds a mismatched tag
-  // (callers then fall back to the Value-based set).
+  // Flat-integer variant of DictionarySet for int64 columns — nullptr if
+  // `column` is not declared int64 (callers then fall back to the
+  // Value-based set). Every int64 dictionary holds only ints: writers
+  // enforce the type, and the snapshot scan refuses a mistyped entry.
   std::shared_ptr<const FlatSet64> Int64DictionarySet(size_t column);
 
   // Memoized π over `columns` (indexes into the schema; order matters only

@@ -181,13 +181,6 @@ void SessionPersistence::LogRunStart(bool infer_keys, bool close_inds,
   Append(record);
 }
 
-void SessionPersistence::LogPhase(const std::string& phase) {
-  Json record = Json::MakeObject();
-  record.Set("t", Json::Str("phase"));
-  record.Set("phase", Json::Str(phase));
-  Append(record);
-}
-
 void SessionPersistence::LogAnswer(const std::string& kind,
                                    const std::string& subject, Json answer) {
   Json record = Json::MakeObject();

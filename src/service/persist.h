@@ -13,9 +13,12 @@
 //   {"t":"mutate","sql":"..."}                live DML applied to the catalog
 //   {"t":"run","infer_keys":b,...,"oracle":s} pipeline run accepted
 //   {"t":"answer","kind":k,"subject":s,...}   one expert decision resolved
-//   {"t":"phase","phase":p}                   pipeline phase completed
 //   {"t":"done"} / {"t":"failed","error":e}   run reached a terminal state
 //   {"t":"close"}                             clean client-requested close
+//
+// A recovery re-run appends nothing of its own: its `run` record is already
+// there, and its end is not recorded again. Recovery reads neither `done`
+// nor `failed`, and skips the `phase` records older journals hold.
 //
 // Replaying these records in order (service/session_manager.h,
 // RecoverAll) reconstructs the session byte-for-byte: the catalog reloads
@@ -99,7 +102,6 @@ class SessionPersistence {
   void LogMutation(const std::string& sql);
   void LogRunStart(bool infer_keys, bool close_inds, bool merge_isa_cycles,
                    const std::string& oracle);
-  void LogPhase(const std::string& phase);
   // `answer` holds the kind-specific fields (action/name/value), matching
   // the wire answer format of docs/SERVICE.md.
   void LogAnswer(const std::string& kind, const std::string& subject,

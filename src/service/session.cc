@@ -262,42 +262,31 @@ Status Session::RestoreExtension(const std::string& relation,
                                    " has no data dir to restore from");
   }
   DBRE_ASSIGN_OR_RETURN(Table * table, database_.GetMutableTable(relation));
+  // Open the snapshot page-backed when paged extensions are on. The
+  // whole-file load is the fallback only when the paged open failed without
+  // rejecting the file (a failed read, say): recovery must not depend on
+  // that. A file the open rejected is already quarantined, and its error
+  // says where it went.
+  std::shared_ptr<pagestore::PagedSnapshot> source;
   if (paged_opener_) {
-    // Open the snapshot page-backed instead of materializing it. Failures
-    // fall through to the whole-file loader — recovery must not depend on
-    // the pool being large enough or the paged open succeeding.
-    Result<std::shared_ptr<pagestore::PagedSnapshot>> source =
+    Result<std::shared_ptr<pagestore::PagedSnapshot>> opened =
         paged_opener_(fingerprint);
-    if (source.ok()) {
-      const auto& ours = table->schema().attributes();
-      const auto& theirs = (*source)->schema().attributes();
-      bool layout_matches = ours.size() == theirs.size();
-      for (size_t i = 0; layout_matches && i < ours.size(); ++i) {
-        layout_matches = ours[i].name == theirs[i].name &&
-                         ours[i].type == theirs[i].type;
-      }
-      if (!layout_matches) {
-        return FailedPreconditionError(
-            "snapshot " + FingerprintToHex(fingerprint) +
-            " does not match the catalog schema of " + relation);
-      }
-      Table before = *table;
-      size_t rows = (*source)->num_rows();
-      DBRE_RETURN_IF_ERROR(table->AdoptPagedExtension(*source));
-      bool shared = registry_ != nullptr &&
-                    registry_->InternPrecomputed(table, fingerprint);
-      DBRE_RETURN_IF_ERROR(
-          ChargeReplacement(table, std::move(before), shared));
-      if (rows_out != nullptr) *rows_out = rows;
-      return Status::Ok();
+    if (opened.ok()) {
+      source = *std::move(opened);
+    } else if (opened.status().code() == StatusCode::kParseError) {
+      return opened.status();
     }
   }
-  DBRE_ASSIGN_OR_RETURN(store::LoadedSnapshot snapshot,
-                        persist_->store()->LoadSnapshot(fingerprint));
+  store::ScannedSnapshot loaded;
+  if (source == nullptr) {
+    DBRE_ASSIGN_OR_RETURN(loaded,
+                          persist_->store()->LoadSnapshot(fingerprint));
+  }
   // The catalog's DDL (already replayed) is authoritative for constraints;
   // the snapshot only has to agree on the column layout.
   const auto& ours = table->schema().attributes();
-  const auto& theirs = snapshot.schema.attributes();
+  const auto& theirs =
+      (source != nullptr ? source->schema() : loaded.schema).attributes();
   bool layout_matches = ours.size() == theirs.size();
   for (size_t i = 0; layout_matches && i < ours.size(); ++i) {
     layout_matches =
@@ -309,13 +298,20 @@ Status Session::RestoreExtension(const std::string& relation,
         " does not match the catalog schema of " + relation);
   }
   Table before = *table;
-  size_t rows = snapshot.extension.num_rows();
-  DBRE_RETURN_IF_ERROR(table->AdoptExtension(std::move(snapshot.extension)));
-  // The footer fingerprint was written by ComputeFingerprint over this
-  // same extension, so interning can reuse it instead of re-hashing; sharing
-  // still requires byte equality (AdoptSharedExtension).
+  size_t rows = 0;
+  if (source != nullptr) {
+    rows = source->num_rows();
+    DBRE_RETURN_IF_ERROR(table->AdoptPagedExtension(std::move(source)));
+  } else {
+    rows = loaded.extension.num_rows();
+    DBRE_RETURN_IF_ERROR(table->AdoptExtension(std::move(loaded.extension)));
+  }
+  // The footer fingerprint (the file's address, which the store checked)
+  // was written by ComputeFingerprint over this same extension, so interning
+  // can reuse it instead of re-hashing; sharing still requires byte
+  // equality (AdoptSharedExtension).
   bool shared = registry_ != nullptr &&
-                registry_->InternPrecomputed(table, snapshot.fingerprint);
+                registry_->InternPrecomputed(table, fingerprint);
   DBRE_RETURN_IF_ERROR(ChargeReplacement(table, std::move(before), shared));
   if (rows_out != nullptr) *rows_out = rows;
   return Status::Ok();
@@ -528,11 +524,8 @@ void Session::ExecuteRun(const RunOptions& options) {
   pipeline_options.cancel = &cancel_;
   pipeline_options.trace = &trace_;
   pipeline_options.on_phase = [this](const char* phase) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      phase_ = phase;
-    }
-    if (persist_) persist_->LogPhase(phase);
+    std::lock_guard<std::mutex> lock(mutex_);
+    phase_ = phase;
   };
 
   DefaultOracle default_oracle;
@@ -629,7 +622,9 @@ void Session::ExecuteRun(const RunOptions& options) {
     finished_.notify_all();
     listener = listener_;
   }
-  if (persist_ && log_finished) {
+  // Like its `run` record, a recovery re-run's end is not journaled again:
+  // recovery reads neither, and each restart would append another.
+  if (persist_ && log_finished && !options.replay) {
     persist_->LogFinished(finished_ok, finished_error);
   }
   if (listener) listener();

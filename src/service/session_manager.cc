@@ -207,21 +207,9 @@ SessionManager::PagedSourceFor(uint64_t fingerprint) {
   Result<std::shared_ptr<pagestore::PagedSnapshot>> opened =
       pagestore::OpenSnapshotPaged(store_->SnapshotPath(fingerprint),
                                    buffer_pool_);
-  if (!opened.ok()) {
-    // Parity with LoadSnapshot: a snapshot failing verification is set
-    // aside so the next PutSnapshot of the same extension rewrites it
-    // cleanly instead of tripping over the corpse.
-    if (opened.status().code() != StatusCode::kNotFound) {
-      (void)store_->QuarantineSnapshot(fingerprint);
-    }
-    return opened.status();
-  }
-  if ((*opened)->fingerprint() != fingerprint) {
-    (void)store_->QuarantineSnapshot(fingerprint);
-    return ParseError("snapshot " + store_->SnapshotPath(fingerprint) +
-                      ": footer fingerprint does not match its content "
-                      "address");
-  }
+  DBRE_RETURN_IF_ERROR(
+      store_->VetSnapshot(fingerprint, opened.status(),
+                          opened.ok() ? (*opened)->fingerprint() : 0));
   paged_sources_[fingerprint] = *opened;
   return opened;
 }
@@ -676,8 +664,9 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
       PrimeReplayAnswer(replay_oracle.get(), record);
       session->SeedAnswer(record);
     }
-    // "create", "phase", "done" and "failed" rebuild no state: the re-run
-    // below regenerates phases and the terminal state deterministically.
+    // "create", "done" and "failed" rebuild no state, nor do the "phase"
+    // records older journals hold: the re-run below regenerates the
+    // terminal state deterministically.
   }
   session->persistence()->set_replaying(false);
 

@@ -157,9 +157,9 @@ class SessionManager {
 
   // The paged source for the snapshot with this fingerprint, deduplicated
   // process-wide: sessions loading the same extension share one source
-  // (and through it the pool's pages and any built key indexes). A
-  // snapshot that fails page verification is quarantined exactly as
-  // LoadSnapshot would. kFailedPrecondition when paged mode is off.
+  // (and through it the pool's pages). The open goes through the store's
+  // quarantine rule (Store::VetSnapshot), as a whole-file load does.
+  // kFailedPrecondition when paged mode is off.
   Result<std::shared_ptr<pagestore::PagedSnapshot>> PagedSourceFor(
       uint64_t fingerprint);
 

@@ -1,19 +1,21 @@
-// The DBSNAP01 on-disk vocabulary, shared by the whole-file snapshot
-// reader/writer (store/snapshot.cc) and the page-at-a-time reader
-// (src/pagestore/), which must agree byte-for-byte:
+// The DBSNAP01 on-disk vocabulary: the format's constants, the writer's
+// encoders and the one codec for dictionary entries. The snapshot scan
+// (store/snapshot.cc) and the page store's pool-backed reads
+// (src/pagestore/) both decode through it, so the format changes here and
+// nowhere else:
 //
 //   [magic "DBSNAP01"]
 //   [u64 schema_size][u32 schema CRC32C][schema blob]
 //   per column, in schema order:
 //     [u64 payload_size][u32 payload CRC32C][payload]
 //       payload = u32 dict_size, u8 has_null,
-//                 dict_size tagged values (AppendValue),
+//                 dict_size tagged values (AppendValue / ReadEntry),
 //                 rows x 4-byte little-endian codes
 //   [u64 fingerprint][u32 CRC32C of the 8 fingerprint bytes]
 //   [magic "DBSNAPFT"]
 //
-// Everything here is header-only and allocation-conscious; the heavy
-// machinery (mmap, atomic writes, materialization) stays in snapshot.cc.
+// Everything here is header-only; file handling, verification and
+// materialization stay in snapshot.cc.
 #ifndef DBRE_STORE_SNAPSHOT_FORMAT_H_
 #define DBRE_STORE_SNAPSHOT_FORMAT_H_
 
@@ -46,8 +48,7 @@ inline constexpr uint8_t kTagString = 4;
 // int64/double dictionary entries are fixed-width: tag + 8 payload bytes.
 inline constexpr size_t kFixedEntryBytes = 9;
 
-// Unaligned little-endian loads for the code arrays (the hot loop of the
-// loaders; bounds are validated once per page, not per cell).
+// Unaligned little-endian loads of the format's integers.
 inline uint32_t LoadU32(const unsigned char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -100,6 +101,24 @@ struct Reader {
     }
     return true;
   }
+
+  // The byte-source interface of ReadEntry; a failure only clears `ok`.
+  uint64_t remaining() const { return size - pos; }
+  bool Read(void* out, size_t n) {
+    if (!Need(n)) return false;
+    std::memcpy(out, p + pos, n);
+    pos += n;
+    return true;
+  }
+  bool Skip(uint64_t n) {
+    if (!Need(n)) return false;
+    pos += n;
+    return true;
+  }
+  bool Fail(const Status&) {
+    ok = false;
+    return false;
+  }
   uint8_t U8() {
     if (!Need(1)) return 0;
     return p[pos++];
@@ -141,19 +160,65 @@ inline void AppendValue(Writer* w, const Value& value) {
   }
 }
 
-inline Result<Value> ParseValue(Reader* r) {
-  uint8_t tag = r->U8();
+// ---- dictionary entries -------------------------------------------------
+//
+// An entry is a tag byte and its payload: kTagInt and kTagReal carry 8
+// bytes, kTagBool one, kTagString a u32 length and that many bytes. A
+// column declared int64 or double holds only its own tag, so its entries
+// are fixed-width: entry i sits kFixedEntryBytes * i bytes in.
+
+// The tag every entry of a column declared `type` carries when its entries
+// are fixed-width; 0 for bool and string columns, whose entries decode
+// whatever their tag says.
+inline uint8_t FixedTag(DataType type) {
+  if (type == DataType::kInt64) return kTagInt;
+  if (type == DataType::kDouble) return kTagReal;
+  return 0;
+}
+
+// Reads the entry at `in` into `*out`, or steps over it when `out` is null,
+// and returns whether it could. `in` is a byte source with `bool Read(void*,
+// size_t)`, `bool Skip(uint64_t)` and `uint64_t remaining()`, which fail
+// when too few bytes remain and keep their error, and `bool Fail(Status)`,
+// which keeps the codec's own error, an unknown tag, and returns false.
+// Entries are the scan's hot loop, so nothing here builds a Status on the
+// way through.
+template <typename Source>
+bool ReadEntry(Source& in, Value* out) {
+  uint8_t tag = 0;
+  if (!in.Read(&tag, 1)) return false;
   switch (tag) {
     case kTagInt:
-      return Value::Int(static_cast<int64_t>(r->U64()));
-    case kTagReal:
-      return Value::Real(std::bit_cast<double>(r->U64()));
-    case kTagBool:
-      return Value::Boolean(r->U8() != 0);
-    case kTagString:
-      return Value::Text(r->Str());
+    case kTagReal: {
+      if (out == nullptr) return in.Skip(8);
+      unsigned char bits[8];
+      if (!in.Read(bits, sizeof(bits))) return false;
+      *out = tag == kTagInt ? Value::Int(static_cast<int64_t>(LoadU64(bits)))
+                            : Value::Real(std::bit_cast<double>(LoadU64(bits)));
+      return true;
+    }
+    case kTagBool: {
+      if (out == nullptr) return in.Skip(1);
+      uint8_t flag = 0;
+      if (!in.Read(&flag, 1)) return false;
+      *out = Value::Boolean(flag != 0);
+      return true;
+    }
+    case kTagString: {
+      unsigned char length[4];
+      if (!in.Read(length, sizeof(length))) return false;
+      const uint32_t n = LoadU32(length);
+      // A length past the source's end fails in Skip before anything is
+      // allocated for it.
+      if (out == nullptr || n > in.remaining()) return in.Skip(n);
+      std::string text(n, '\0');
+      if (!in.Read(text.data(), n)) return false;
+      *out = Value::Text(std::move(text));
+      return true;
+    }
     default:
-      return ParseError("snapshot: unknown value tag " + std::to_string(tag));
+      return in.Fail(
+          ParseError("snapshot: unknown value tag " + std::to_string(tag)));
   }
 }
 

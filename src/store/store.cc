@@ -124,31 +124,33 @@ bool Store::HasSnapshot(uint64_t fingerprint) const {
   return fs::exists(SnapshotPath(fingerprint), ec);
 }
 
-Result<LoadedSnapshot> Store::LoadSnapshot(uint64_t fingerprint) const {
+Result<ScannedSnapshot> Store::LoadSnapshot(uint64_t fingerprint) const {
   std::string path = SnapshotPath(fingerprint);
   std::error_code ec;
   if (!fs::exists(path, ec)) {
     return NotFoundError("no snapshot for fingerprint in " + path);
   }
-  Result<LoadedSnapshot> snapshot = dbre::store::LoadSnapshot(path);
-  Status bad;
-  if (!snapshot.ok()) {
-    if (snapshot.status().code() != StatusCode::kParseError) {
-      return snapshot.status();  // e.g. transient open/read error
-    }
-    bad = snapshot.status();
-  } else if (snapshot->fingerprint != fingerprint) {
-    bad = FailedPreconditionError("snapshot " + path +
-                                  " holds a different fingerprint");
-  } else {
-    return snapshot;
+  Result<ScannedSnapshot> snapshot = dbre::store::LoadSnapshot(path);
+  DBRE_RETURN_IF_ERROR(VetSnapshot(fingerprint, snapshot.status(),
+                                   snapshot.ok() ? snapshot->fingerprint : 0));
+  return snapshot;
+}
+
+Status Store::VetSnapshot(uint64_t fingerprint, const Status& opened,
+                          uint64_t footer) const {
+  Status bad = opened;
+  if (opened.ok()) {
+    if (footer == fingerprint) return Status::Ok();
+    bad = ParseError("snapshot " + SnapshotPath(fingerprint) +
+                     ": footer fingerprint does not match its content "
+                     "address");
+  } else if (opened.code() != StatusCode::kParseError) {
+    return opened;
   }
   Result<std::string> moved = QuarantineSnapshot(fingerprint);
-  if (moved.ok()) {
-    return Status(bad.code(), bad.message() + " (quarantined to " + *moved +
-                                  ")");
-  }
-  return bad;
+  if (!moved.ok()) return bad;
+  return Status(bad.code(),
+                bad.message() + " (quarantined to " + *moved + ")");
 }
 
 std::string Store::SessionDir(const std::string& session_id) const {

@@ -57,12 +57,20 @@ class Store {
 
   bool HasSnapshot(uint64_t fingerprint) const;
 
-  // Loads and verifies a snapshot. A snapshot that fails verification
-  // (CRC mismatch, torn file, wrong fingerprint) is moved to quarantine
-  // before the error returns, so the next PutSnapshot of the same
-  // extension rewrites it cleanly instead of tripping over the corpse.
-  Result<LoadedSnapshot> LoadSnapshot(uint64_t fingerprint) const;
+  // Loads and verifies a snapshot, under VetSnapshot's quarantine rule.
+  Result<ScannedSnapshot> LoadSnapshot(uint64_t fingerprint) const;
   std::string SnapshotPath(uint64_t fingerprint) const;
+
+  // The quarantine rule every snapshot reader goes through. `opened` is how
+  // reading SnapshotPath(fingerprint) went, and `footer` the fingerprint
+  // its verified footer holds (ignored unless `opened` is ok). The file
+  // moves to quarantine when the scan rejected it (kParseError) or when its
+  // footer is not its address, so the next PutSnapshot of the extension
+  // rewrites it cleanly instead of tripping over the corpse; the error
+  // returned then names where it went. Any other error, such as a failed
+  // read, never quarantines and comes back as it is.
+  Status VetSnapshot(uint64_t fingerprint, const Status& opened,
+                     uint64_t footer) const;
 
   // --- session journals -----------------------------------------------
 
@@ -108,8 +116,9 @@ class Store {
 
   // --- quarantine -------------------------------------------------------
 
-  // Moves a corrupt snapshot file into <root>/quarantine/snapshots/.
-  // Returns the quarantined path (NotFound if the file is already gone).
+  // Moves a corrupt snapshot file into <root>/quarantine/snapshots/
+  // (VetSnapshot decides when). Returns the quarantined path (NotFound if
+  // the file is already gone).
   Result<std::string> QuarantineSnapshot(uint64_t fingerprint) const;
 
   // Sets aside the corrupt part of a session journal as reported by

@@ -4,11 +4,13 @@
 // directory. Recovery must resume the pipeline with the journaled expert
 // answers and finish with a report byte-identical to an uninterrupted run.
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "store/store.h"
@@ -30,13 +32,30 @@ class PersistenceTest : public ::testing::Test {
                       ->name());
     fs::remove_all(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    Failpoints::Instance().DisarmAll();
+    fs::remove_all(dir_);
+  }
 
-  std::unique_ptr<Server> MakeServer() {
+  // `buffer_pool_bytes` > 0 serves extensions page-backed.
+  std::unique_ptr<Server> MakeServer(size_t buffer_pool_bytes = 0) {
     ServerOptions options;
     options.sessions.data_dir = dir_.string();
     options.sessions.journal.fsync_batch = 1;
+    options.sessions.buffer_pool_bytes = buffer_pool_bytes;
     return std::make_unique<Server>(options);
+  }
+
+  // Lines across every journal segment of `session`.
+  size_t JournalLines(const std::string& session) const {
+    size_t lines = 0;
+    for (const auto& entry :
+         fs::directory_iterator(dir_ / "sessions" / session)) {
+      if (entry.path().extension() != ".ndjson") continue;
+      std::ifstream in(entry.path());
+      for (std::string line; std::getline(in, line);) ++lines;
+    }
+    return lines;
   }
 
   fs::path dir_;
@@ -156,6 +175,84 @@ TEST_F(PersistenceTest, IdleSessionCatalogSurvivesRestart) {
     // Restoring a live session is an error, not a duplicate.
     Json response = client.Call(Command("restore", "idle"));
     EXPECT_FALSE(response.GetBool("ok"));
+  }
+}
+
+// A paged open that fails to read a snapshot, rather than rejecting it,
+// leaves the file alone: recovery falls back to the whole-file load and
+// keeps the session.
+TEST_F(PersistenceTest, PagedRecoverySurvivesAFailedOpen) {
+  constexpr size_t kPoolBytes = 16 << 20;
+  const PaperInputs inputs = BuildPaperInputs();
+  {
+    auto server = MakeServer(kPoolBytes);
+    LineClient client(server.get());
+    Json create = Command("create");
+    create.Set("name", Json::Str("idle"));
+    client.MustCall(std::move(create));
+    Json load_ddl = Command("load_ddl", "idle");
+    load_ddl.Set("sql", Json::Str(inputs.ddl));
+    client.MustCall(std::move(load_ddl));
+    for (const auto& [relation, csv] : inputs.csvs) {
+      Json load_csv = Command("load_csv", "idle");
+      load_csv.Set("relation", Json::Str(relation));
+      load_csv.Set("csv", Json::Str(csv));
+      client.MustCall(std::move(load_csv));
+    }
+    ASSERT_EQ(client.MustCall(Command("status", "idle")).GetInt("relations"),
+              4);
+  }
+  ASSERT_TRUE(Failpoints::Instance().Arm("pagestore.open", "error#1").ok());
+  auto server = MakeServer(kPoolBytes);
+  EXPECT_TRUE(server->recovery().errors.empty())
+      << server->recovery().errors.front();
+  EXPECT_EQ(server->recovery().sessions_recovered, 1u);
+  LineClient client(server.get());
+  Json status = client.MustCall(Command("status", "idle"));
+  EXPECT_EQ(status.GetString("state"), "idle");
+  EXPECT_EQ(status.GetInt("relations"), 4);
+  EXPECT_FALSE(fs::exists(dir_ / "quarantine")) << "a failed read quarantined";
+  uint64_t triggers = 0;
+  for (const auto& point : Failpoints::Instance().List()) {
+    if (point.point == "pagestore.open") triggers = point.triggers;
+  }
+  EXPECT_EQ(triggers, 1u) << "the paged open never failed";
+}
+
+// Recovery re-runs a finished session's pipeline; the re-run journals
+// nothing, so restarts do not grow the journal (nor the next replay).
+TEST_F(PersistenceTest, RecoveryReRunsAppendNothingToTheJournal) {
+  const PaperInputs inputs = BuildPaperInputs();
+  {
+    auto server = MakeServer();
+    LineClient client(server.get());
+    Json create = Command("create");
+    create.Set("name", Json::Str("paper"));
+    client.MustCall(std::move(create));
+    StartPaperRun(client, "paper", inputs);
+    auto expert = workload::PaperOracle();
+    bool done = false;
+    AnswerPaperQuestions(client, "paper", expert.get(), SIZE_MAX, &done);
+    ASSERT_TRUE(done);
+  }
+  const size_t lines = JournalLines("paper");
+  ASSERT_GT(lines, 0u);
+  const std::string reference = ReferenceReport();
+  for (int restart = 1; restart <= 3; ++restart) {
+    SCOPED_TRACE("restart " + std::to_string(restart));
+    auto server = MakeServer();
+    EXPECT_EQ(server->recovery().runs_resumed, 1u);
+    LineClient client(server.get());
+    auto expert = workload::PaperOracle();
+    bool done = false;
+    EXPECT_EQ(
+        AnswerPaperQuestions(client, "paper", expert.get(), SIZE_MAX, &done),
+        0u);
+    ASSERT_TRUE(done);
+    EXPECT_EQ(client.MustCall(Command("report", "paper")).GetString("report"),
+              reference);
+    server.reset();
+    EXPECT_EQ(JournalLines("paper"), lines);
   }
 }
 
