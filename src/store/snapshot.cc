@@ -456,15 +456,19 @@ Status ReadPayload(PayloadSource& payload, DataType type, uint64_t rows,
       i += n;
     }
   } else {
+    const uint8_t tag = EntryTag(type);
     const uint32_t stride = options.directory_stride;
     if (stride != 0) layout.directory.reserve(room / stride + 1);
     for (uint32_t i = 0; i < layout.dict_size; ++i) {
       if (stride != 0 && i % stride == 0) {
         layout.directory.push_back(payload.pos());
       }
+      uint8_t entry_tag = 0;
+      if (!payload.Read(&entry_tag, 1)) return payload.status();
+      if (entry_tag != tag) return payload.Reject("has a mistyped entry");
       Value* value =
           options.decode ? &page->dictionary.emplace_back() : nullptr;
-      if (!ReadEntry(payload, value)) return payload.status();
+      if (!ReadEntryAfterTag(payload, tag, value)) return payload.status();
     }
   }
 

@@ -163,30 +163,38 @@ inline void AppendValue(Writer* w, const Value& value) {
 // ---- dictionary entries -------------------------------------------------
 //
 // An entry is a tag byte and its payload: kTagInt and kTagReal carry 8
-// bytes, kTagBool one, kTagString a u32 length and that many bytes. A
-// column declared int64 or double holds only its own tag, so its entries
-// are fixed-width: entry i sits kFixedEntryBytes * i bytes in.
+// bytes, kTagBool one, kTagString a u32 length and that many bytes. Every
+// entry of a column carries its column's tag (the scan refuses any other),
+// so the entries of a column declared int64 or double are fixed-width:
+// entry i sits kFixedEntryBytes * i bytes in.
 
-// The tag every entry of a column declared `type` carries when its entries
-// are fixed-width; 0 for bool and string columns, whose entries decode
-// whatever their tag says.
-inline uint8_t FixedTag(DataType type) {
-  if (type == DataType::kInt64) return kTagInt;
-  if (type == DataType::kDouble) return kTagReal;
+// The tag every entry of a column declared `type` carries.
+inline uint8_t EntryTag(DataType type) {
+  switch (type) {
+    case DataType::kInt64: return kTagInt;
+    case DataType::kDouble: return kTagReal;
+    case DataType::kBool: return kTagBool;
+    case DataType::kString: return kTagString;
+  }
   return 0;
 }
 
-// Reads the entry at `in` into `*out`, or steps over it when `out` is null,
-// and returns whether it could. `in` is a byte source with `bool Read(void*,
-// size_t)`, `bool Skip(uint64_t)` and `uint64_t remaining()`, which fail
-// when too few bytes remain and keep their error, and `bool Fail(Status)`,
-// which keeps the codec's own error, an unknown tag, and returns false.
-// Entries are the scan's hot loop, so nothing here builds a Status on the
-// way through.
+// EntryTag for a column whose entries are fixed-width; 0 for bool and
+// string columns.
+inline uint8_t FixedTag(DataType type) {
+  const uint8_t tag = EntryTag(type);
+  return tag == kTagInt || tag == kTagReal ? tag : 0;
+}
+
+// Reads the rest of an entry whose tag byte `tag` was just read from `in`
+// into `*out`, or steps over it when `out` is null, and returns whether it
+// could. `in` is a byte source with `bool Read(void*, size_t)`, `bool
+// Skip(uint64_t)` and `uint64_t remaining()`, which fail when too few bytes
+// remain and keep their error, and `bool Fail(Status)`, which keeps the
+// codec's own error, an unknown tag, and returns false. Entries are the
+// scan's hot loop, so nothing here builds a Status on the way through.
 template <typename Source>
-bool ReadEntry(Source& in, Value* out) {
-  uint8_t tag = 0;
-  if (!in.Read(&tag, 1)) return false;
+bool ReadEntryAfterTag(Source& in, uint8_t tag, Value* out) {
   switch (tag) {
     case kTagInt:
     case kTagReal: {
@@ -220,6 +228,13 @@ bool ReadEntry(Source& in, Value* out) {
       return in.Fail(
           ParseError("snapshot: unknown value tag " + std::to_string(tag)));
   }
+}
+
+// Reads a whole entry, tag byte first, as ReadEntryAfterTag does the rest.
+template <typename Source>
+bool ReadEntry(Source& in, Value* out) {
+  uint8_t tag = 0;
+  return in.Read(&tag, 1) && ReadEntryAfterTag(in, tag, out);
 }
 
 // ---- schema blob --------------------------------------------------------

@@ -174,10 +174,11 @@ TEST_F(PagedSnapshotTest, RoundTripsEveryCellThroughPages) {
   EXPECT_FALSE((*snap)->has_null(0));
   EXPECT_TRUE((*snap)->has_null(1));
 
+  const std::vector<ValueVector> rows = Rows(table);
   for (size_t c = 0; c < 4; ++c) {
     auto cursor = (*snap)->Codes(c);
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      EXPECT_EQ(DecodeCell(**snap, cursor.get(), c, r), Rows(table)[r][c])
+      EXPECT_EQ(DecodeCell(**snap, cursor.get(), c, r), rows[r][c])
           << "cell (" << r << ", " << c << ")";
     }
   }
@@ -320,6 +321,24 @@ TEST_F(PagedSnapshotTest, ErrorMessagesMatchTheWholeFileLoader) {
            PutU64(&entry, 1, 123456789);
            payload->insert(end, entry);
            PutU32(payload, 0, GetU32(*payload, 0) + 1);
+         });
+       }},
+      // Checksum-valid pages whose first entry carries another type's tag.
+      {"bool_page_int_entry",
+       [](std::string b) {
+         return RewritePage(std::move(b), 3, [](std::string* payload) {
+           std::string entry(9, '\0');
+           entry[0] = static_cast<char>(kIntTag);
+           PutU64(&entry, 1, 1);
+           payload->replace(EntryOffset(*payload, 0), 2, entry);
+         });
+       }},
+      {"string_page_bool_entry",
+       [](std::string b) {
+         return RewritePage(std::move(b), 1, [](std::string* payload) {
+           const size_t at = EntryOffset(*payload, 0);
+           std::string entry = {static_cast<char>(kBoolTag), 1};
+           payload->replace(at, 5 + GetU32(*payload, at + 1), entry);
          });
        }},
   };
