@@ -2,15 +2,6 @@
 
 namespace dbre::cluster {
 
-uint64_t Fnv1a64(const std::string& data) {
-  uint64_t hash = 14695981039346656037ull;  // FNV offset basis
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 uint64_t RingMix(uint64_t h) {
   // splitmix64 finalizer (Steele/Lea/Flood): full-avalanche bijection.
   h ^= h >> 30;

@@ -9,9 +9,9 @@
 // existing node's keys — everything else keeps its placement, which is
 // what makes rebalancing a migration of few sessions instead of all.
 //
-// The hash is FNV-1a, written out explicitly (not std::hash) so placement
-// is identical across processes, platforms and standard libraries: a
-// restarted router re-derives the same default placements.
+// The hash is FNV-1a (common/hash.h), so placement is identical across
+// processes, platforms and standard libraries: a restarted router
+// re-derives the same default placements.
 //
 // Not thread-safe; the router guards its ring with the routing-table lock.
 #ifndef DBRE_CLUSTER_HASH_RING_H_
@@ -22,10 +22,9 @@
 #include <string>
 #include <vector>
 
-namespace dbre::cluster {
+#include "common/hash.h"
 
-// 64-bit FNV-1a; exposed so tests can pin the placement function.
-uint64_t Fnv1a64(const std::string& data);
+namespace dbre::cluster {
 
 // Avalanche finalizer applied on top of FNV-1a before a value is placed on
 // the ring. FNV's trailing xor-multiply only diffuses the last byte into
