@@ -223,9 +223,11 @@ int main(int argc, char** argv) {
     const auto& recovery = server.recovery();
     std::fprintf(stderr,
                  "dbred data dir %s: %zu session(s) recovered, %zu run(s) "
-                 "resumed, %zu torn record(s) dropped\n",
+                 "restored, %zu run(s) resumed, %zu torn record(s) "
+                 "dropped\n",
                  args.data_dir.c_str(), recovery.sessions_recovered,
-                 recovery.runs_resumed, recovery.records_dropped);
+                 recovery.runs_restored, recovery.runs_resumed,
+                 recovery.records_dropped);
     for (const std::string& error : recovery.errors) {
       std::fprintf(stderr, "dbre_serve: recovery: %s\n", error.c_str());
     }

@@ -660,6 +660,8 @@ Result<Json> Server::HandleStats() {
     store.Set("data_dir", Json::Str(manager_.store()->root()));
     store.Set("sessions_recovered",
               Json::Int(static_cast<int64_t>(recovery_.sessions_recovered)));
+    store.Set("runs_restored",
+              Json::Int(static_cast<int64_t>(recovery_.runs_restored)));
     store.Set("runs_resumed",
               Json::Int(static_cast<int64_t>(recovery_.runs_resumed)));
     store.Set("records_dropped",

@@ -5,6 +5,8 @@
 //   <root>/snapshots/<%016x fingerprint>.snap   one per distinct extension
 //   <root>/sessions/<escaped session id>/       one journal dir per session
 //       wal-000001.ndjson ...
+//       RESULT                                  the last finished run's
+//                                               result image, if any
 //   <root>/quarantine/                          corrupt files, set aside
 //       snapshots/<%016x>.snap                  failed CRC / wrong footer
 //       sessions/<escaped id>/wal-...ndjson[.corrupt]
@@ -15,14 +17,16 @@
 // from clients (name hints), so they are percent-escaped before becoming
 // path components — a hostile id cannot traverse outside the data dir.
 //
-// The Store itself only manages files; what the journal records *mean* is
-// the service layer's business (src/service/persist.h).
+// The Store itself only manages files; what the journal records and the
+// result image *mean* is the service layer's business
+// (src/service/persist.h, src/service/finished_run.h).
 #ifndef DBRE_STORE_STORE_H_
 #define DBRE_STORE_STORE_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -89,9 +93,23 @@ class Store {
   // Session ids with a journal on disk, sorted.
   std::vector<std::string> ListSessionIds() const;
 
-  // Deletes a session's journal directory (after a clean close; snapshots
-  // stay — other sessions may share them).
+  // Deletes a session's journal directory, result image included (after a
+  // clean close; snapshots stay — other sessions may share them).
   Status RemoveSession(const std::string& session_id);
+
+  // --- result images ----------------------------------------------------
+
+  // A session directory holds at most one result image, RESULT: the last
+  // finished run, as the service encodes it. Each write replaces it through
+  // a temp file and a rename, so a reader sees a whole image or the one
+  // before. It is not fsynced: the service's `done` record names the image
+  // by a hash of its bytes and is synced itself, and an image that is lost,
+  // torn or stale fails that check and only costs a re-run. The write never
+  // creates the directory (a closed session's directory stays gone).
+  Status WriteResultImage(const std::string& session_id,
+                          std::string_view bytes);
+  // kNotFound when the session has no image.
+  Result<std::string> ReadResultImage(const std::string& session_id) const;
 
   // --- worker ownership -------------------------------------------------
 
