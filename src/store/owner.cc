@@ -54,15 +54,20 @@ Status WriteOwnerStamp(const std::string& session_dir,
   Json record = Json::MakeObject();
   record.Set("worker", Json::Str(stamp.worker));
   record.Set("epoch", Json::Int(static_cast<int64_t>(stamp.epoch)));
-  // Temp + rename so a concurrent reader never sees a half-written stamp.
-  std::string tmp = session_dir + "/OWNER.tmp";
+  return WriteByRename(session_dir, "OWNER", record.Dump() + "\n");
+}
+
+Status WriteByRename(const std::string& dir, const std::string& name,
+                     std::string_view bytes) {
+  const std::string tmp = dir + "/" + name + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << record.Dump() << '\n';
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
     if (!out) return IoError("write " + tmp);
   }
-  fs::rename(tmp, session_dir + "/OWNER", ec);
+  std::error_code ec;
+  fs::rename(tmp, dir + "/" + name, ec);
   if (ec) return IoError("rename " + tmp + ": " + ec.message());
   return Status::Ok();
 }

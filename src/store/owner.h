@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -46,6 +47,12 @@ Result<OwnerStamp> ReadOwnerStamp(const std::string& session_dir);
 // `store.owner.write` failpoint. Creates `session_dir` if needed.
 Status WriteOwnerStamp(const std::string& session_dir,
                        const OwnerStamp& stamp);
+
+// Replaces `<dir>/<name>` with `bytes` through `<dir>/<name>.tmp` and a
+// rename, so a reader sees the whole old file or the whole new one. Creates
+// no directory and syncs nothing. The store's writer for OWNER and RESULT.
+Status WriteByRename(const std::string& dir, const std::string& name,
+                     std::string_view bytes);
 
 // An exclusive flock(2) on `<session_dir>/OWNER.lock`, held for the
 // lifetime of the object. Serializes read-modify-write claims across
