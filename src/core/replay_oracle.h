@@ -15,7 +15,6 @@
 #ifndef DBRE_CORE_REPLAY_ORACLE_H_
 #define DBRE_CORE_REPLAY_ORACLE_H_
 
-#include <cstddef>
 #include <deque>
 #include <map>
 #include <string>
@@ -36,32 +35,23 @@ class ReplayOracle : public ExpertOracle {
   // Priming: push one recorded answer for `subject` (its ToString form).
   void RecordNei(const std::string& subject, NeiDecision decision) {
     nei_[subject].push_back(std::move(decision));
-    ++recorded_;
   }
   void RecordEnforceFd(const std::string& subject, bool enforce) {
     enforce_[subject].push_back(enforce);
-    ++recorded_;
   }
   void RecordValidateFd(const std::string& subject, bool valid) {
     validate_[subject].push_back(valid);
-    ++recorded_;
   }
   void RecordHiddenObject(const std::string& subject, bool accept) {
     hidden_[subject].push_back(accept);
-    ++recorded_;
   }
   void RecordFdRelationName(const std::string& subject, std::string name) {
     fd_names_[subject].push_back(std::move(name));
-    ++recorded_;
   }
   void RecordHiddenRelationName(const std::string& subject,
                                 std::string name) {
     hidden_names_[subject].push_back(std::move(name));
-    ++recorded_;
   }
-
-  size_t recorded() const { return recorded_; }
-  size_t replayed() const { return replayed_; }
 
   NeiDecision DecideNonEmptyIntersection(const EquiJoin& join,
                                          const JoinCounts& counts) override;
@@ -84,7 +74,6 @@ class ReplayOracle : public ExpertOracle {
     if (it == queues->end() || it->second.empty()) return false;
     *out = std::move(it->second.front());
     it->second.pop_front();
-    ++replayed_;
     return true;
   }
 
@@ -96,8 +85,6 @@ class ReplayOracle : public ExpertOracle {
   std::map<std::string, std::deque<bool>> hidden_;
   std::map<std::string, std::deque<std::string>> fd_names_;
   std::map<std::string, std::deque<std::string>> hidden_names_;
-  size_t recorded_ = 0;
-  size_t replayed_ = 0;
 };
 
 }  // namespace dbre

@@ -212,15 +212,10 @@ void SessionPersistence::LogRunStart(bool infer_keys, bool close_inds,
   Append(record);
 }
 
-void SessionPersistence::LogAnswer(const std::string& kind,
-                                   const std::string& subject, Json answer) {
+void SessionPersistence::LogAnswer(const Json& answer) {
   Json record = Json::MakeObject();
   record.Set("t", Json::Str("answer"));
-  record.Set("kind", Json::Str(kind));
-  record.Set("subject", Json::Str(subject));
-  for (auto& [key, value] : answer.object()) {
-    record.Set(key, std::move(value));
-  }
+  for (const auto& [key, value] : answer.object()) record.Set(key, value);
   Append(record);
   // An answer is the product of (possibly hours of) expert attention —
   // make it durable now, not at the next batch boundary.
@@ -276,85 +271,6 @@ Status SessionPersistence::Sync() {
 Status SessionPersistence::last_error() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return error_;
-}
-
-namespace {
-
-const char* NeiActionName(NeiAction action) {
-  switch (action) {
-    case NeiAction::kConceptualize: return "conceptualize";
-    case NeiAction::kForceLeftInRight: return "force_left";
-    case NeiAction::kForceRightInLeft: return "force_right";
-    case NeiAction::kIgnore: return "ignore";
-  }
-  return "ignore";
-}
-
-Json BoolAnswer(bool value) {
-  Json answer = Json::MakeObject();
-  answer.Set("value", Json::Bool(value));
-  return answer;
-}
-
-Json NameAnswer(const std::string& name) {
-  Json answer = Json::MakeObject();
-  answer.Set("name", Json::Str(name));
-  return answer;
-}
-
-}  // namespace
-
-NeiDecision JournalingOracle::DecideNonEmptyIntersection(
-    const EquiJoin& join, const JoinCounts& counts) {
-  NeiDecision decision = wrapped_->DecideNonEmptyIntersection(join, counts);
-  Json answer = Json::MakeObject();
-  answer.Set("action", Json::Str(NeiActionName(decision.action)));
-  if (!decision.relation_name.empty()) {
-    answer.Set("name", Json::Str(decision.relation_name));
-  }
-  persist_->LogAnswer("nei", join.ToString(), std::move(answer));
-  return decision;
-}
-
-bool JournalingOracle::EnforceFailedFd(const FunctionalDependency& fd) {
-  bool enforce = wrapped_->EnforceFailedFd(fd);
-  persist_->LogAnswer("enforce_fd", fd.ToString(), BoolAnswer(enforce));
-  return enforce;
-}
-
-bool JournalingOracle::EnforceFailedFd(const FunctionalDependency& fd,
-                                       double g3_error) {
-  bool enforce = wrapped_->EnforceFailedFd(fd, g3_error);
-  persist_->LogAnswer("enforce_fd", fd.ToString(), BoolAnswer(enforce));
-  return enforce;
-}
-
-bool JournalingOracle::ValidateFd(const FunctionalDependency& fd) {
-  bool valid = wrapped_->ValidateFd(fd);
-  persist_->LogAnswer("validate_fd", fd.ToString(), BoolAnswer(valid));
-  return valid;
-}
-
-bool JournalingOracle::ConceptualizeHiddenObject(
-    const QualifiedAttributes& candidate) {
-  bool accept = wrapped_->ConceptualizeHiddenObject(candidate);
-  persist_->LogAnswer("hidden_object", candidate.ToString(),
-                      BoolAnswer(accept));
-  return accept;
-}
-
-std::string JournalingOracle::NameRelationForFd(
-    const FunctionalDependency& fd) {
-  std::string name = wrapped_->NameRelationForFd(fd);
-  persist_->LogAnswer("name_fd", fd.ToString(), NameAnswer(name));
-  return name;
-}
-
-std::string JournalingOracle::NameHiddenObjectRelation(
-    const QualifiedAttributes& source) {
-  std::string name = wrapped_->NameHiddenObjectRelation(source);
-  persist_->LogAnswer("name_hidden", source.ToString(), NameAnswer(name));
-  return name;
 }
 
 }  // namespace dbre::service

@@ -12,7 +12,9 @@
 //   {"t":"joins","joins":[...]}               candidate joins registered
 //   {"t":"mutate","sql":"..."}                live DML applied to the catalog
 //   {"t":"run","infer_keys":b,...,"oracle":s} pipeline run accepted
-//   {"t":"answer","kind":k,"subject":s,...}   one expert decision resolved
+//   {"t":"answer","kind":k,"subject":s,...}   one expert decision resolved:
+//                                             its answer record
+//                                             (service/protocol.h)
 //   {"t":"done","image":"<hex16>","inputs":N}
 //                                             run finished; its result image
 //                                             (service/finished_run.h) is
@@ -34,11 +36,17 @@
 // `run` record (that one is already there) and no `failed`. Recovery skips
 // the `phase` records older journals hold.
 //
+// Every answer a run resolves (client answer, timeout or cancel fallback)
+// goes through Session::RecordAnswer, which appends it to the session's
+// answer log and then journals it here, synced before the pipeline can
+// ask its next question.
+//
 // Replaying these records in order (service/session_manager.h,
 // RecoverAll) reconstructs the session byte-for-byte: the catalog reloads
-// from snapshots, and then either the last run's result image brings the
-// session back to `done`, or the run re-executes while a ReplayOracle feeds
-// the journaled answers back to the deterministic pipeline.
+// from snapshots and the answers go back into the answer log, and then
+// either the last run's result image brings the session back to `done`, or
+// the run re-executes, replaying the answer log to the deterministic
+// pipeline the way every rerun does.
 //
 // Logging is best-effort by design: a persistence failure (disk full)
 // must not take down a live elicitation session, so errors are sticky and
@@ -73,7 +81,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/oracle.h"
 #include "relational/equi_join.h"
 #include "relational/table.h"
 #include "service/finished_run.h"
@@ -128,10 +135,10 @@ class SessionPersistence {
   void LogMutation(const std::string& sql);
   void LogRunStart(bool infer_keys, bool close_inds, bool merge_isa_cycles,
                    const std::string& oracle);
-  // `answer` holds the kind-specific fields (action/name/value), matching
-  // the wire answer format of docs/SERVICE.md.
-  void LogAnswer(const std::string& kind, const std::string& subject,
-                 Json answer);
+  // One resolved expert decision: `answer` is its answer record
+  // (service/protocol.h, AnswerRecord), journaled with "t":"answer" in
+  // front and synced before this returns.
+  void LogAnswer(const Json& answer);
   // A run that finished `done` after seeing the journal's first `inputs`
   // input records: writes `run` as the session's result image, then
   // journals and syncs the `done` record that names it. A failed image
@@ -195,33 +202,6 @@ class SessionPersistence {
 // True when `status` is the journal/store fence rejection ("[fenced]"
 // FailedPrecondition) rather than an ordinary persistence failure.
 bool IsFencedError(const Status& status);
-
-// ExpertOracle decorator that journals every decision after the wrapped
-// oracle (live AsyncOracle, default or threshold policy) produces it. It
-// wraps the *resolved* answer, so client answers, timeout fallbacks and
-// cancel fallbacks all journal identically — recovery cannot tell them
-// apart, and does not need to.
-class JournalingOracle : public ExpertOracle {
- public:
-  JournalingOracle(ExpertOracle* wrapped, SessionPersistence* persist)
-      : wrapped_(wrapped), persist_(persist) {}
-
-  NeiDecision DecideNonEmptyIntersection(const EquiJoin& join,
-                                         const JoinCounts& counts) override;
-  bool EnforceFailedFd(const FunctionalDependency& fd) override;
-  bool EnforceFailedFd(const FunctionalDependency& fd,
-                       double g3_error) override;
-  bool ValidateFd(const FunctionalDependency& fd) override;
-  bool ConceptualizeHiddenObject(
-      const QualifiedAttributes& candidate) override;
-  std::string NameRelationForFd(const FunctionalDependency& fd) override;
-  std::string NameHiddenObjectRelation(
-      const QualifiedAttributes& source) override;
-
- private:
-  ExpertOracle* const wrapped_;        // not owned
-  SessionPersistence* const persist_;  // not owned
-};
 
 // Formats a fingerprint the way journals and snapshot files name it:
 // 16 lowercase hex digits. ParseFingerprint inverts it.

@@ -137,25 +137,40 @@ Json QuestionToJson(const std::string& session_id,
   return object;
 }
 
+const char* NeiActionName(NeiAction action) {
+  switch (action) {
+    case NeiAction::kConceptualize: return "conceptualize";
+    case NeiAction::kForceLeftInRight: return "force_left";
+    case NeiAction::kForceRightInLeft: return "force_right";
+    case NeiAction::kIgnore: return "ignore";
+  }
+  return "ignore";
+}
+
+std::optional<NeiAction> ParseNeiAction(const std::string& name) {
+  for (NeiAction action :
+       {NeiAction::kConceptualize, NeiAction::kForceLeftInRight,
+        NeiAction::kForceRightInLeft, NeiAction::kIgnore}) {
+    if (name == NeiActionName(action)) return action;
+  }
+  return std::nullopt;
+}
+
 Result<OracleAnswer> ParseAnswer(PendingQuestion::Kind kind,
                                  const Json& params) {
   OracleAnswer answer;
   switch (kind) {
     case PendingQuestion::Kind::kNei: {
       std::string action = params.GetString("action");
-      if (action == "conceptualize") {
-        answer.nei.action = NeiAction::kConceptualize;
-        answer.nei.relation_name = params.GetString("name");
-      } else if (action == "force_left") {
-        answer.nei.action = NeiAction::kForceLeftInRight;
-      } else if (action == "force_right") {
-        answer.nei.action = NeiAction::kForceRightInLeft;
-      } else if (action == "ignore") {
-        answer.nei.action = NeiAction::kIgnore;
-      } else {
+      std::optional<NeiAction> parsed = ParseNeiAction(action);
+      if (!parsed) {
         return InvalidArgumentError(
             "nei answer needs \"action\": conceptualize, force_left, "
             "force_right or ignore (got '" + action + "')");
+      }
+      answer.nei.action = *parsed;
+      if (*parsed == NeiAction::kConceptualize) {
+        answer.nei.relation_name = params.GetString("name");
       }
       return answer;
     }
@@ -211,21 +226,38 @@ Json JoinToJson(const EquiJoin& join) {
   return object;
 }
 
+Json AnswerRecord(PendingQuestion::Kind kind, const std::string& subject,
+                  const OracleAnswer& answer) {
+  Json record = Json::MakeObject();
+  record.Set("kind", Json::Str(PendingQuestionKindName(kind)));
+  record.Set("subject", Json::Str(subject));
+  switch (kind) {
+    case PendingQuestion::Kind::kNei:
+      record.Set("action", Json::Str(NeiActionName(answer.nei.action)));
+      if (!answer.nei.relation_name.empty()) {
+        record.Set("name", Json::Str(answer.nei.relation_name));
+      }
+      break;
+    case PendingQuestion::Kind::kEnforceFd:
+    case PendingQuestion::Kind::kValidateFd:
+    case PendingQuestion::Kind::kHiddenObject:
+      record.Set("value", Json::Bool(answer.yes));
+      break;
+    case PendingQuestion::Kind::kNameFd:
+    case PendingQuestion::Kind::kNameHidden:
+      record.Set("name", Json::Str(answer.name));
+      break;
+  }
+  return record;
+}
+
 void PrimeReplayAnswer(ReplayOracle* oracle, const Json& record) {
   std::string kind = record.GetString("kind");
   std::string subject = record.GetString("subject");
   if (kind == "nei") {
     NeiDecision decision;
-    std::string action = record.GetString("action", "ignore");
-    if (action == "conceptualize") {
-      decision.action = NeiAction::kConceptualize;
-    } else if (action == "force_left") {
-      decision.action = NeiAction::kForceLeftInRight;
-    } else if (action == "force_right") {
-      decision.action = NeiAction::kForceRightInLeft;
-    } else {
-      decision.action = NeiAction::kIgnore;
-    }
+    decision.action = ParseNeiAction(record.GetString("action"))
+                          .value_or(NeiAction::kIgnore);
     decision.relation_name = record.GetString("name");
     oracle->RecordNei(subject, std::move(decision));
   } else if (kind == "enforce_fd") {

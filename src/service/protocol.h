@@ -15,6 +15,7 @@
 #define DBRE_SERVICE_PROTOCOL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,12 @@ std::string ErrorResponse(int64_t id, const Status& status, Json details);
 Json QuestionToJson(const std::string& session_id,
                     const PendingQuestion& question);
 
+// The names NEI actions go by in answers and answer records:
+// "conceptualize", "force_left", "force_right" and "ignore".
+// ParseNeiAction inverts NeiActionName; nullopt for any other name.
+const char* NeiActionName(NeiAction action);
+std::optional<NeiAction> ParseNeiAction(const std::string& name);
+
 // Parses the answer fields of an `answer` request for `kind`:
 //   nei:            {"action": "conceptualize"|"force_left"|"force_right"
 //                    |"ignore", "name": "..."?}
@@ -85,19 +92,29 @@ Json QuestionToJson(const std::string& session_id,
 Result<OracleAnswer> ParseAnswer(PendingQuestion::Kind kind,
                                  const Json& params);
 
+// The answer record: the one form in which a resolved expert decision is
+// logged (Session::RecordAnswer), journaled (SessionPersistence::LogAnswer
+// puts "t":"answer" in front) and replayed (PrimeReplayAnswer).
+// {"kind": PendingQuestionKindName(kind), "subject": subject} and then the
+// answer fields of `kind`, as ParseAnswer reads them, except that an nei
+// record names its relation whatever the action, and only when the name is
+// non-empty.
+Json AnswerRecord(PendingQuestion::Kind kind, const std::string& subject,
+                  const OracleAnswer& answer);
+
 // Parses a join object {"left": "R", "left_attrs": ["a"...],
 // "right": "S", "right_attrs": ["b"...]} (validated for shape).
 Result<EquiJoin> ParseJoin(const Json& value);
 
 Json JoinToJson(const EquiJoin& join);
 
-// Primes `oracle` with one journaled answer record ({"kind":k,"subject":s}
-// plus the kind-specific action/value/name fields — the flattened form
-// SessionPersistence::LogAnswer writes). Unknown kinds are skipped so an
-// old daemon can replay a journal a newer one wrote. Used by crash
-// recovery and by the incremental rerun path, which replays a session's
-// own answers so a post-mutation re-validation only re-asks questions the
-// expert never saw.
+// Primes `oracle` with one answer record (AnswerRecord's form). Lenient,
+// since the record may come back from disk: unknown kinds are skipped so
+// an old daemon can replay a journal a newer one wrote, and an unknown NEI
+// action replays as ignore. Session::ExecuteRun primes each run's
+// ReplayOracle from the session's answer log, so a rerun (after a
+// mutation, or after a crash) only re-asks questions the expert never
+// answered.
 void PrimeReplayAnswer(ReplayOracle* oracle, const Json& record);
 
 }  // namespace dbre::service

@@ -46,17 +46,6 @@ std::shared_ptr<Server::WaitHub> Server::HubFor(
   return hub;
 }
 
-void Server::NotifyHub(const std::string& session_id) {
-  std::shared_ptr<WaitHub> hub;
-  {
-    std::lock_guard<std::mutex> lock(hubs_mutex_);
-    auto it = hubs_.find(session_id);
-    if (it == hubs_.end()) return;
-    hub = it->second;
-  }
-  hub->Notify();
-}
-
 void Server::DropHub(const std::string& session_id) {
   std::shared_ptr<WaitHub> hub;
   {

@@ -123,7 +123,6 @@ class Server {
   // with 32 clients on a shared global hub every event woke every waiter
   // (a thundering herd that dominated tail latency under load).
   std::shared_ptr<WaitHub> HubFor(const std::string& session_id);
-  void NotifyHub(const std::string& session_id);
   void DropHub(const std::string& session_id);
   void NotifyAllHubs();
 

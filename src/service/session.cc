@@ -16,27 +16,10 @@ namespace {
 
 constexpr size_t kMaxEvents = 256;
 
-const char* NeiActionName(NeiAction action) {
-  switch (action) {
-    case NeiAction::kConceptualize: return "conceptualize";
-    case NeiAction::kForceLeftInRight: return "force_left";
-    case NeiAction::kForceRightInLeft: return "force_right";
-    case NeiAction::kIgnore: return "ignore";
-  }
-  return "ignore";
-}
-
-Json AnswerRecord(const char* kind, const std::string& subject) {
-  Json record = Json::MakeObject();
-  record.Set("kind", Json::Str(kind));
-  record.Set("subject", Json::Str(subject));
-  return record;
-}
-
-// ExpertOracle decorator that appends every freshly-resolved answer to the
-// session's in-memory answer log (the same record shape the journal
-// uses), so the next rerun can replay it. Sits *inside* the replay layer:
-// answers replayed from the log never re-record.
+// ExpertOracle decorator that records every freshly resolved answer (a
+// client's, or a timeout or cancel fallback) through Session::RecordAnswer,
+// which logs and journals it before the pipeline gets the decision. Sits
+// *inside* the replay layer: answers replayed from the log never re-record.
 class RecordingOracle : public ExpertOracle {
  public:
   RecordingOracle(ExpertOracle* wrapped, Session* session)
@@ -44,60 +27,58 @@ class RecordingOracle : public ExpertOracle {
 
   NeiDecision DecideNonEmptyIntersection(const EquiJoin& join,
                                          const JoinCounts& counts) override {
-    NeiDecision decision = wrapped_->DecideNonEmptyIntersection(join, counts);
-    Json record = AnswerRecord("nei", join.ToString());
-    record.Set("action", Json::Str(NeiActionName(decision.action)));
-    if (!decision.relation_name.empty()) {
-      record.Set("name", Json::Str(decision.relation_name));
-    }
-    session_->RecordAnswer(std::move(record));
-    return decision;
+    OracleAnswer answer;
+    answer.nei = wrapped_->DecideNonEmptyIntersection(join, counts);
+    Record(PendingQuestion::Kind::kNei, join.ToString(), answer);
+    return answer.nei;
   }
   bool EnforceFailedFd(const FunctionalDependency& fd) override {
-    bool enforce = wrapped_->EnforceFailedFd(fd);
-    RecordBool("enforce_fd", fd.ToString(), enforce);
-    return enforce;
+    return RecordYes(PendingQuestion::Kind::kEnforceFd, fd.ToString(),
+                     wrapped_->EnforceFailedFd(fd));
   }
   bool EnforceFailedFd(const FunctionalDependency& fd,
                        double g3_error) override {
-    bool enforce = wrapped_->EnforceFailedFd(fd, g3_error);
-    RecordBool("enforce_fd", fd.ToString(), enforce);
-    return enforce;
+    return RecordYes(PendingQuestion::Kind::kEnforceFd, fd.ToString(),
+                     wrapped_->EnforceFailedFd(fd, g3_error));
   }
   bool ValidateFd(const FunctionalDependency& fd) override {
-    bool valid = wrapped_->ValidateFd(fd);
-    RecordBool("validate_fd", fd.ToString(), valid);
-    return valid;
+    return RecordYes(PendingQuestion::Kind::kValidateFd, fd.ToString(),
+                     wrapped_->ValidateFd(fd));
   }
   bool ConceptualizeHiddenObject(
       const QualifiedAttributes& candidate) override {
-    bool accept = wrapped_->ConceptualizeHiddenObject(candidate);
-    RecordBool("hidden_object", candidate.ToString(), accept);
-    return accept;
+    return RecordYes(PendingQuestion::Kind::kHiddenObject,
+                     candidate.ToString(),
+                     wrapped_->ConceptualizeHiddenObject(candidate));
   }
   std::string NameRelationForFd(const FunctionalDependency& fd) override {
-    std::string name = wrapped_->NameRelationForFd(fd);
-    RecordName("name_fd", fd.ToString(), name);
-    return name;
+    return RecordName(PendingQuestion::Kind::kNameFd, fd.ToString(),
+                      wrapped_->NameRelationForFd(fd));
   }
   std::string NameHiddenObjectRelation(
       const QualifiedAttributes& source) override {
-    std::string name = wrapped_->NameHiddenObjectRelation(source);
-    RecordName("name_hidden", source.ToString(), name);
-    return name;
+    return RecordName(PendingQuestion::Kind::kNameHidden, source.ToString(),
+                      wrapped_->NameHiddenObjectRelation(source));
   }
 
  private:
-  void RecordBool(const char* kind, const std::string& subject, bool value) {
-    Json record = AnswerRecord(kind, subject);
-    record.Set("value", Json::Bool(value));
-    session_->RecordAnswer(std::move(record));
+  void Record(PendingQuestion::Kind kind, const std::string& subject,
+              const OracleAnswer& answer) {
+    session_->RecordAnswer(AnswerRecord(kind, subject, answer));
   }
-  void RecordName(const char* kind, const std::string& subject,
-                  const std::string& name) {
-    Json record = AnswerRecord(kind, subject);
-    record.Set("name", Json::Str(name));
-    session_->RecordAnswer(std::move(record));
+  bool RecordYes(PendingQuestion::Kind kind, const std::string& subject,
+                 bool yes) {
+    OracleAnswer answer;
+    answer.yes = yes;
+    Record(kind, subject, answer);
+    return yes;
+  }
+  std::string RecordName(PendingQuestion::Kind kind,
+                         const std::string& subject, std::string name) {
+    OracleAnswer answer;
+    answer.name = std::move(name);
+    Record(kind, subject, answer);
+    return std::move(answer.name);
   }
 
   ExpertOracle* const wrapped_;  // not owned
@@ -381,14 +362,13 @@ uint64_t Session::event_seq() const {
   return event_seq_;
 }
 
-void Session::SeedAnswer(Json record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  answers_.push_back(std::move(record));
-}
-
-void Session::RecordAnswer(Json record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  answers_.push_back(std::move(record));
+void Session::RecordAnswer(const Json& record) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    answers_.push_back(record);
+  }
+  // Outside the lock: the journal write fsyncs.
+  if (persist_) persist_->LogAnswer(record);
 }
 
 Status Session::ApplyMutation(const std::string& sql,
@@ -484,9 +464,9 @@ Status Session::BeginRun(const RunOptions& options) {
   error_ = Status::Ok();
   abort_reason_ = Status::Ok();
   cancel_.store(false, std::memory_order_relaxed);
-  // A recovery re-run (options.replay set) is already journaled; logging
-  // it again would double the record on the next replay.
-  if (persist_ && !options.replay) {
+  // A recovery re-run is already journaled; logging it again would double
+  // the record on the next replay.
+  if (persist_ && !options.resumed) {
     persist_->LogRunStart(options.infer_keys, options.close_inds,
                           options.merge_isa_cycles, options.oracle);
   }
@@ -536,41 +516,24 @@ void Session::ExecuteRun(const RunOptions& options) {
   if (options.oracle == "default") oracle = &default_oracle;
   if (options.oracle == "threshold") oracle = &threshold_oracle;
 
-  // Oracle chain: ReplayOracle(recorded answers) → JournalingOracle →
-  // RecordingOracle → the live policy. Replayed answers never hit the
-  // journaling/recording layers, so only decisions made *now* (client
-  // answers, timeouts) are appended — to the journal and to the session's
-  // in-memory answer log alike.
+  // Oracle chain: ReplayOracle(the answer log) → RecordingOracle → the live
+  // policy. Replaying the log means a rerun (after a mutation, or a
+  // recovery re-run) re-asks only what the expert never answered; answers
+  // replayed from it never reach the recording layer, so only decisions
+  // made *now* (client answers, timeouts) are logged and journaled.
   RecordingOracle recording(oracle, this);
-  oracle = &recording;
-  std::optional<JournalingOracle> journaling;
-  if (persist_ != nullptr) {
-    journaling.emplace(oracle, persist_.get());
-    oracle = &*journaling;
-  }
-  std::shared_ptr<ReplayOracle> replay = options.replay;
-  if (replay == nullptr) {
-    // Incremental rerun: replay this session's own answer log so the
-    // re-validation only re-asks what the expert never answered. On a
-    // first run the log is empty and this stays null.
+  ReplayOracle replay;
+  replay.SetFallback(&recording);
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!answers_.empty()) {
-      replay = std::make_shared<ReplayOracle>();
-      for (const Json& record : answers_) {
-        PrimeReplayAnswer(replay.get(), record);
-      }
-    }
-  }
-  if (replay != nullptr) {
-    replay->SetFallback(oracle);
-    oracle = replay.get();
+    for (const Json& record : answers_) PrimeReplayAnswer(&replay, record);
   }
 
   // A finished run is rendered once, here, and its report dropped: the
   // rendering is all a done session serves.
   Result<FinishedRun> finished = [&]() -> Result<FinishedRun> {
     DBRE_ASSIGN_OR_RETURN(PipelineReport report,
-                          RunPipeline(database_, joins_, oracle,
+                          RunPipeline(database_, joins_, &replay,
                                       pipeline_options));
     return RenderFinishedRun(report);
   }();
@@ -606,7 +569,7 @@ void Session::ExecuteRun(const RunOptions& options) {
   }
   // Like its `run` record, a recovery re-run's failure is not journaled
   // again: recovery reads no `failed`, and each restart would append one.
-  if (persist_ != nullptr && !failure.empty() && !options.replay) {
+  if (persist_ != nullptr && !failure.empty() && !options.resumed) {
     persist_->LogFailed(failure);
   }
   if (listener) listener();

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/replay_oracle.h"
 #include "obs/trace.h"
 #include "pagestore/paged_snapshot.h"
 #include "relational/database.h"
@@ -86,11 +85,10 @@ class Session {
     // "default" (DefaultOracle), or "threshold" (unattended data-driven
     // policy, same knobs as dbre_cli's).
     std::string oracle = "async";
-    // Recovery only (never set over the wire): journaled answers that
-    // replay ahead of the live oracle, so a resumed run re-asks only the
-    // questions the expert never answered. Also suppresses re-journaling
-    // the run record.
-    std::shared_ptr<ReplayOracle> replay;
+    // Recovery only (never set over the wire): the run re-executes a
+    // journaled `run` record, so neither that record nor the run's failure
+    // is journaled again.
+    bool resumed = false;
   };
 
   Session(std::string id, AsyncOracle::Options oracle_options,
@@ -157,14 +155,16 @@ class Session {
   std::vector<Json> EventsSince(uint64_t after_seq) const;
   uint64_t event_seq() const;
 
-  // Recovery only: seeds the in-memory answer log with a journaled answer
-  // record, so post-recovery mutations + reruns replay the same answers a
-  // live session would have.
-  void SeedAnswer(Json record);
-
-  // Appends a freshly-resolved expert answer (journal record form) to the
-  // in-memory answer log. Called by the recording oracle during a run.
-  void RecordAnswer(Json record);
+  // Appends an expert answer, in its answer record form
+  // (service/protocol.h, AnswerRecord), to the session's answer log, then
+  // journals and syncs it outside the session lock. Every run replays the
+  // log ahead of its live oracle. During a run the recording oracle calls
+  // this with each freshly resolved answer, and the pipeline gets the
+  // decision only once it returns. Recovery calls it with the journaled
+  // answers while persistence still replays, so nothing is journaled twice;
+  // after DisarmPersistence answers still join the log but are not
+  // journaled.
+  void RecordAnswer(const Json& record);
 
   // State transition kIdle/kDone/kFailed → kRunning with validation; the
   // manager then schedules ExecuteRun on a worker. Re-running a finished
@@ -303,8 +303,8 @@ class Session {
   bool closed_ = false;
   std::function<void()> listener_;
 
-  // Incremental re-engineering state: the session's own answer log
-  // (journal record form, FIFO per subject). Reruns replay it so only
+  // The session's answer log: every answer its runs resolved, oldest
+  // first (RecordAnswer). Each run replays it FIFO per subject, so only
   // genuinely new questions reach the expert.
   std::vector<Json> answers_;
   std::deque<Json> events_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -335,24 +334,23 @@ Status SessionManager::CloseSession(const std::string& id) {
   if (store_ != nullptr && store_->HasSessionJournal(id)) {
     DBRE_RETURN_IF_ERROR(store_->RemoveSession(id));
   }
-  // The closed session's catalog is gone; drop any canonical extensions it
-  // was the last holder of (returning their rows / pool pages) and prune
-  // dead paged-source handles. A finished run's task closure may still be
-  // unwinding on a worker with its own reference to the session — give it
-  // a moment so the sweep observes the true final count. Bounded: a
-  // lingering reference only defers the release to the next sweep.
-  for (int i = 0; i < 2000 && session.use_count() > 1; ++i) {
+  SweepDeparted(std::move(session));
+  return Status::Ok();
+}
+
+void SessionManager::SweepDeparted(std::shared_ptr<Session> departed) {
+  // A finished run's task closure may still be unwinding on a worker with
+  // its own reference to `departed` — give it a moment so the sweep
+  // observes the true final count. Bounded: a lingering reference only
+  // defers the release to the next sweep.
+  for (int i = 0; i < 2000 && departed.use_count() > 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  session.reset();
+  departed.reset();
   registry_.Sweep();
-  {
-    std::lock_guard<std::mutex> paged_lock(paged_mutex_);
-    for (auto it = paged_sources_.begin(); it != paged_sources_.end();) {
-      it = it->second.expired() ? paged_sources_.erase(it) : std::next(it);
-    }
-  }
-  return Status::Ok();
+  std::lock_guard<std::mutex> paged_lock(paged_mutex_);
+  std::erase_if(paged_sources_,
+                [](const auto& entry) { return entry.second.expired(); });
 }
 
 void SessionManager::Shutdown() {
@@ -374,6 +372,27 @@ void SessionManager::Shutdown() {
   registry_.Sweep();
 }
 
+Result<store::JournalReplay> SessionManager::ClaimJournal(
+    const std::string& id, uint64_t* epoch, size_t* quarantined) {
+  // Claim (epoch bump) BEFORE reading: from here on any straggler still
+  // holding the old epoch is fenced out of the journal, so the records
+  // read below are the complete history this recovery replays.
+  *epoch = ClaimEpoch(id);
+  DBRE_ASSIGN_OR_RETURN(store::JournalReplay replay,
+                        store_->ReadSessionJournal(id));
+  // Mid-stream corruption — or a stale-epoch suffix from a split-brain
+  // writer: set the bad piece(s) aside and recover from the valid prefix.
+  // A failed quarantine fails the recovery — a bad segment left in place
+  // would replay differently next time.
+  if (replay.corrupt || replay.stale) {
+    DBRE_RETURN_IF_ERROR(store_->QuarantineJournalCorruption(
+        id, replay.corrupt ? replay.corrupt_segment : replay.stale_segment,
+        replay.corrupt ? replay.corrupt_valid_end : replay.stale_valid_end,
+        quarantined));
+  }
+  return replay;
+}
+
 SessionManager::RecoveryReport SessionManager::RecoverAll() {
   RecoveryReport report;
   if (store_ == nullptr) return report;
@@ -389,34 +408,16 @@ SessionManager::RecoveryReport SessionManager::RecoverAll() {
         continue;
       }
     }
-    // Claim (epoch bump) BEFORE reading: from here on any straggler still
-    // holding the old epoch is fenced out of the journal, so the records
-    // read below are the complete history this recovery replays.
-    uint64_t epoch = ClaimEpoch(id);
-    Result<store::JournalReplay> replay = store_->ReadSessionJournal(id);
+    uint64_t epoch = 0;
+    size_t quarantined = 0;
+    Result<store::JournalReplay> replay =
+        ClaimJournal(id, &epoch, &quarantined);
     if (!replay.ok()) {
       report.errors.push_back(id + ": " + replay.status().ToString());
       continue;
     }
     report.records_dropped += replay->dropped;
-    // Mid-stream corruption — or a stale-epoch suffix from a split-brain
-    // writer: set the bad piece(s) aside and recover from the valid
-    // prefix. Only a failed quarantine skips the session — a bad segment
-    // left in place would replay differently next time.
-    if (replay->corrupt || replay->stale) {
-      uint64_t bad_segment =
-          replay->corrupt ? replay->corrupt_segment : replay->stale_segment;
-      size_t valid_end =
-          replay->corrupt ? replay->corrupt_valid_end : replay->stale_valid_end;
-      size_t moved = 0;
-      Status quarantined = store_->QuarantineJournalCorruption(
-          id, bad_segment, valid_end, &moved);
-      if (!quarantined.ok()) {
-        report.errors.push_back(id + ": " + quarantined.ToString());
-        continue;
-      }
-      report.segments_quarantined += moved;
-    }
+    report.segments_quarantined += quarantined;
     if (HasCloseRecord(*replay)) {
       ++report.sessions_closed;
       Status removed = store_->RemoveSession(id);
@@ -461,20 +462,10 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverSession(
   }
   // Takeover: restore claims ownership even over another worker's stamp
   // (migration targets restore sessions the source just sealed, and
-  // failover targets adopt sessions whose owner stopped responding). The
-  // claim happens BEFORE the journal read so the epoch bump fences the
-  // previous owner out of appending past what this replay sees.
-  uint64_t epoch = ClaimEpoch(id);
+  // failover targets adopt sessions whose owner stopped responding).
+  uint64_t epoch = 0;
   DBRE_ASSIGN_OR_RETURN(store::JournalReplay replay,
-                        store_->ReadSessionJournal(id));
-  if (replay.corrupt || replay.stale) {
-    uint64_t bad_segment =
-        replay.corrupt ? replay.corrupt_segment : replay.stale_segment;
-    size_t valid_end =
-        replay.corrupt ? replay.corrupt_valid_end : replay.stale_valid_end;
-    DBRE_RETURN_IF_ERROR(store_->QuarantineJournalCorruption(
-        id, bad_segment, valid_end, nullptr));
-  }
+                        ClaimJournal(id, &epoch, nullptr));
   if (HasCloseRecord(replay) || !HasMeaningfulRecords(replay)) {
     return FailedPreconditionError("session '" + id +
                                    "' has no resumable journal");
@@ -538,20 +529,7 @@ Result<store::JournalStats> SessionManager::DetachSession(
   // questions instead).
   session->DisarmPersistence();
   session->Close();
-  // Same drain-then-sweep dance as CloseSession: let a finishing run's
-  // task closure release its reference so the sweep frees this session's
-  // share of the extension cache.
-  for (int i = 0; i < 2000 && session.use_count() > 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  session.reset();
-  registry_.Sweep();
-  {
-    std::lock_guard<std::mutex> paged_lock(paged_mutex_);
-    for (auto it = paged_sources_.begin(); it != paged_sources_.end();) {
-      it = it->second.expired() ? paged_sources_.erase(it) : std::next(it);
-    }
-  }
+  SweepDeparted(std::move(session));
   if (!options_.worker_id.empty()) {
     // Release at the epoch this worker held; a concurrent takeover (the
     // target restored before we got here) keeps its own stamp.
@@ -592,13 +570,7 @@ std::vector<std::string> SessionManager::FenceLostSessions() {
     session->Close();
     fenced_ids.push_back(session->id());
   }
-  if (!fenced_ids.empty()) {
-    registry_.Sweep();
-    std::lock_guard<std::mutex> paged_lock(paged_mutex_);
-    for (auto it = paged_sources_.begin(); it != paged_sources_.end();) {
-      it = it->second.expired() ? paged_sources_.erase(it) : std::next(it);
-    }
-  }
+  if (!fenced_ids.empty()) SweepDeparted(nullptr);
   return fenced_ids;
 }
 
@@ -625,7 +597,7 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
   uint64_t inputs = 0;  // the input records (IsRunInput) replayed
   const Json* last_done = nullptr;
   Session::RunOptions run_options;
-  auto replay_oracle = std::make_shared<ReplayOracle>();
+  run_options.resumed = true;
   for (const Json& record : replay.records) {
     std::string type = record.GetString("t");
     if (IsRunInput(type)) ++inputs;
@@ -664,10 +636,13 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
       run_options.merge_isa_cycles = record.GetBool("merge_isa_cycles");
       run_options.oracle = record.GetString("oracle", "async");
     } else if (type == "answer") {
-      // FIFO across runs: the single rerun below corresponds to the last
-      // live run, which replayed earlier runs' answers in this same order.
-      PrimeReplayAnswer(replay_oracle.get(), record);
-      session->SeedAnswer(record);
+      // Back into the answer log, in journal order: the re-run below (or
+      // the next rerun) replays it FIFO per subject, just as the last live
+      // run replayed earlier runs' answers.
+      Json answer = record;
+      std::erase_if(answer.object(),
+                    [](const auto& field) { return field.first == "t"; });
+      session->RecordAnswer(answer);
     }
     // "create", "done" and "failed" rebuild no state, nor do the "phase"
     // records older journals hold: the result image or the re-run below
@@ -700,7 +675,6 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
   if (restored) {
     *run = RunRecovery::kRestored;
   } else if (has_run) {
-    run_options.replay = replay_oracle;
     DBRE_RETURN_IF_ERROR(SubmitRun(session, run_options));
     *run = RunRecovery::kResumed;
   }

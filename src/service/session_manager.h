@@ -184,6 +184,22 @@ class SessionManager {
   // session look unowned to a sibling's recovery.
   uint64_t ClaimEpoch(const std::string& id);
 
+  // The recoverable journal of `id`: claims the session (its epoch goes to
+  // `*epoch`), reads its journal and quarantines a corrupt or stale suffix
+  // (`*quarantined`, if non-null, counts the segments set aside), so the
+  // records returned are the valid prefix. A failed read or quarantine is
+  // an error.
+  Result<store::JournalReplay> ClaimJournal(const std::string& id,
+                                            uint64_t* epoch,
+                                            size_t* quarantined);
+
+  // Frees what departed sessions were the last holders of: sweeps the
+  // extension registry (returning rows and pool pages) and prunes dead
+  // paged-source handles. `departed`, a session just closed or detached
+  // (or null), is dropped first, after a bounded wait for any other
+  // reference to it to go.
+  void SweepDeparted(std::shared_ptr<Session> departed);
+
   // What recovery did with a session's last run.
   enum class RunRecovery { kNone, kRestored, kResumed };
 

@@ -281,7 +281,8 @@ TEST_F(PagedSnapshotTest, ErrorMessagesMatchTheWholeFileLoader) {
        }},
       {"schema_flip",
        [](std::string b) {
-         b[8 + 12 + 2] ^= 0x01;  // inside the schema blob
+         const size_t at = 8 + 12 + 2;  // inside the schema blob
+         b.replace(at, 1, 1, static_cast<char>(b.at(at) ^ 0x01));
          return b;
        }},
       {"payload_flip",

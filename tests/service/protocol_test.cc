@@ -1,11 +1,22 @@
 #include "service/protocol.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "service/persist.h"
 #include "service/server.h"
+#include "store/store.h"
 
 namespace dbre::service {
 namespace {
+
+namespace fs = std::filesystem;
 
 // -- ParseRequest ---------------------------------------------------------
 
@@ -127,6 +138,270 @@ TEST(ProtocolTest, ParsesBooleanAndNamingAnswers) {
             StatusCode::kInvalidArgument);
 }
 
+// -- Answer records -------------------------------------------------------
+// One record form is logged, journaled and replayed. Journals written by
+// older daemons must keep replaying, so its bytes are pinned: each literal
+// below is what the answer log and the journal held for the same decision
+// before the log and the journal shared one record builder.
+
+EquiJoin PinnedJoin() {
+  EquiJoin join;
+  join.left_relation = "Assignment";
+  join.left_attributes = {"emp", "dep"};
+  join.right_relation = "Department";
+  join.right_attributes = {"emp", "dep"};
+  return join;
+}
+
+FunctionalDependency PinnedFd() {
+  return FunctionalDependency("Department", AttributeSet{"emp"},
+                              AttributeSet{"skill", "proj"});
+}
+
+QualifiedAttributes PinnedCandidate() {
+  return QualifiedAttributes{"HEmployee", AttributeSet{"no"}};
+}
+
+struct PinnedAnswer {
+  PendingQuestion::Kind kind;
+  OracleAnswer answer;
+  std::string record;   // the answer log's record
+  std::string payload;  // the journal line's "r" object
+};
+
+OracleAnswer NeiAnswer(NeiAction action, std::string name) {
+  OracleAnswer answer;
+  answer.nei = NeiDecision{action, std::move(name)};
+  return answer;
+}
+
+OracleAnswer YesAnswer(bool yes) {
+  OracleAnswer answer;
+  answer.yes = yes;
+  return answer;
+}
+
+OracleAnswer NameAnswer(std::string name) {
+  OracleAnswer answer;
+  answer.name = std::move(name);
+  return answer;
+}
+
+// Every kind, each NEI action with and without a name, both values of the
+// yes/no kinds and empty names; subjects repeat, so replay must be FIFO.
+std::vector<PinnedAnswer> PinnedAnswers() {
+  using Kind = PendingQuestion::Kind;
+  return {
+      {Kind::kNei, NeiAnswer(NeiAction::kConceptualize, "Bridge"),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"conceptualize","name":"Bridge"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"conceptualize","name":"Bridge"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kConceptualize, ""),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"conceptualize"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"conceptualize"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kForceLeftInRight, "Bridge"),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_left","name":"Bridge"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_left","name":"Bridge"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kForceLeftInRight, ""),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_left"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_left"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kForceRightInLeft, "Bridge"),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_right","name":"Bridge"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_right","name":"Bridge"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kForceRightInLeft, ""),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_right"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"force_right"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kIgnore, "Bridge"),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"ignore","name":"Bridge"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"ignore","name":"Bridge"})"},
+      {Kind::kNei, NeiAnswer(NeiAction::kIgnore, ""),
+       R"({"kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"ignore"})",
+       R"({"t":"answer","kind":"nei","subject":"Assignment[emp, dep] |><| Department[emp, dep]","action":"ignore"})"},
+      {Kind::kEnforceFd, YesAnswer(true),
+       R"({"kind":"enforce_fd","subject":"Department: {emp} -> {proj, skill}","value":true})",
+       R"({"t":"answer","kind":"enforce_fd","subject":"Department: {emp} -> {proj, skill}","value":true})"},
+      {Kind::kEnforceFd, YesAnswer(false),
+       R"({"kind":"enforce_fd","subject":"Department: {emp} -> {proj, skill}","value":false})",
+       R"({"t":"answer","kind":"enforce_fd","subject":"Department: {emp} -> {proj, skill}","value":false})"},
+      {Kind::kValidateFd, YesAnswer(true),
+       R"({"kind":"validate_fd","subject":"Department: {emp} -> {proj, skill}","value":true})",
+       R"({"t":"answer","kind":"validate_fd","subject":"Department: {emp} -> {proj, skill}","value":true})"},
+      {Kind::kValidateFd, YesAnswer(false),
+       R"({"kind":"validate_fd","subject":"Department: {emp} -> {proj, skill}","value":false})",
+       R"({"t":"answer","kind":"validate_fd","subject":"Department: {emp} -> {proj, skill}","value":false})"},
+      {Kind::kHiddenObject, YesAnswer(true),
+       R"({"kind":"hidden_object","subject":"HEmployee.{no}","value":true})",
+       R"({"t":"answer","kind":"hidden_object","subject":"HEmployee.{no}","value":true})"},
+      {Kind::kHiddenObject, YesAnswer(false),
+       R"({"kind":"hidden_object","subject":"HEmployee.{no}","value":false})",
+       R"({"t":"answer","kind":"hidden_object","subject":"HEmployee.{no}","value":false})"},
+      {Kind::kNameFd, NameAnswer("Manager"),
+       R"({"kind":"name_fd","subject":"Department: {emp} -> {proj, skill}","name":"Manager"})",
+       R"({"t":"answer","kind":"name_fd","subject":"Department: {emp} -> {proj, skill}","name":"Manager"})"},
+      {Kind::kNameFd, NameAnswer(""),
+       R"({"kind":"name_fd","subject":"Department: {emp} -> {proj, skill}","name":""})",
+       R"({"t":"answer","kind":"name_fd","subject":"Department: {emp} -> {proj, skill}","name":""})"},
+      {Kind::kNameHidden, NameAnswer("Employee"),
+       R"({"kind":"name_hidden","subject":"HEmployee.{no}","name":"Employee"})",
+       R"({"t":"answer","kind":"name_hidden","subject":"HEmployee.{no}","name":"Employee"})"},
+      {Kind::kNameHidden, NameAnswer(""),
+       R"({"kind":"name_hidden","subject":"HEmployee.{no}","name":""})",
+       R"({"t":"answer","kind":"name_hidden","subject":"HEmployee.{no}","name":""})"},
+  };
+}
+
+std::string SubjectOf(PendingQuestion::Kind kind) {
+  switch (kind) {
+    case PendingQuestion::Kind::kNei:
+      return PinnedJoin().ToString();
+    case PendingQuestion::Kind::kHiddenObject:
+    case PendingQuestion::Kind::kNameHidden:
+      return PinnedCandidate().ToString();
+    default:
+      return PinnedFd().ToString();
+  }
+}
+
+// The payloads of the journal lines in `dir`, byte for byte: each line is
+// {"c":"<crc32c hex>","r":<payload>}.
+std::vector<std::string> JournalPayloads(const fs::path& dir) {
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ndjson") segments.push_back(entry);
+  }
+  std::sort(segments.begin(), segments.end());
+  std::vector<std::string> payloads;
+  for (const fs::path& segment : segments) {
+    std::ifstream in(segment);
+    for (std::string line; std::getline(in, line);) {
+      const std::string head = R"(","r":)";
+      size_t at = line.find(head);
+      if (line.rfind(R"({"c":")", 0) != 0 || at == std::string::npos ||
+          line.back() != '}') {
+        payloads.push_back("unexpected journal line: " + line);
+        continue;
+      }
+      at += head.size();
+      payloads.push_back(line.substr(at, line.size() - 1 - at));
+    }
+  }
+  return payloads;
+}
+
+TEST(ProtocolTest, AnswerRecordsKeepTheirBytesInTheLogAndTheJournal) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("dbre_protocol_test_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const std::vector<PinnedAnswer> pinned = PinnedAnswers();
+  {
+    auto store = store::Store::Open(dir.string());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto journal = (*store)->OpenSessionJournal("pin");
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    SessionPersistence persist(store->get(), "pin", std::move(*journal));
+    for (const PinnedAnswer& answer : pinned) {
+      Json record =
+          AnswerRecord(answer.kind, SubjectOf(answer.kind), answer.answer);
+      EXPECT_EQ(record.Dump(), answer.record);
+      persist.LogAnswer(record);
+    }
+    EXPECT_TRUE(persist.last_error().ok()) << persist.last_error().ToString();
+  }
+  std::vector<std::string> payloads =
+      JournalPayloads(dir / "sessions" / "pin");
+  fs::remove_all(dir);
+  ASSERT_EQ(payloads.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(payloads[i], pinned[i].payload);
+  }
+}
+
+TEST(ProtocolTest, AnswerRecordsReplayTheirDecisionsFifoPerSubject) {
+  DefaultOracle defaults;
+  RecordingOracle fell_through(&defaults);
+  ReplayOracle replay;
+  replay.SetFallback(&fell_through);
+  const std::vector<PinnedAnswer> pinned = PinnedAnswers();
+  for (const PinnedAnswer& answer : pinned) {
+    Result<Json> record = Json::Parse(answer.record);
+    ASSERT_TRUE(record.ok());
+    PrimeReplayAnswer(&replay, *record);
+  }
+  for (const PinnedAnswer& answer : pinned) {
+    SCOPED_TRACE(answer.record);
+    switch (answer.kind) {
+      case PendingQuestion::Kind::kNei: {
+        NeiDecision decision =
+            replay.DecideNonEmptyIntersection(PinnedJoin(), JoinCounts{});
+        EXPECT_EQ(decision.action, answer.answer.nei.action);
+        EXPECT_EQ(decision.relation_name, answer.answer.nei.relation_name);
+        break;
+      }
+      case PendingQuestion::Kind::kEnforceFd:
+        EXPECT_EQ(replay.EnforceFailedFd(PinnedFd(), 0.25), answer.answer.yes);
+        break;
+      case PendingQuestion::Kind::kValidateFd:
+        EXPECT_EQ(replay.ValidateFd(PinnedFd()), answer.answer.yes);
+        break;
+      case PendingQuestion::Kind::kHiddenObject:
+        EXPECT_EQ(replay.ConceptualizeHiddenObject(PinnedCandidate()),
+                  answer.answer.yes);
+        break;
+      case PendingQuestion::Kind::kNameFd:
+        EXPECT_EQ(replay.NameRelationForFd(PinnedFd()), answer.answer.name);
+        break;
+      case PendingQuestion::Kind::kNameHidden:
+        EXPECT_EQ(replay.NameHiddenObjectRelation(PinnedCandidate()),
+                  answer.answer.name);
+        break;
+    }
+  }
+  // Every question was answered from the records.
+  EXPECT_EQ(fell_through.InteractionCount(), 0u);
+}
+
+TEST(ProtocolTest, ReplaySkipsAnswerRecordsOfUnknownKinds) {
+  DefaultOracle defaults;
+  RecordingOracle fell_through(&defaults);
+  ReplayOracle replay;
+  replay.SetFallback(&fell_through);
+  // A kind from a newer daemon, on subjects this one asks about.
+  for (const std::string& subject :
+       {PinnedFd().ToString(), PinnedCandidate().ToString()}) {
+    Json record = Json::MakeObject();
+    record.Set("kind", Json::Str("rename"));
+    record.Set("subject", Json::Str(subject));
+    record.Set("value", Json::Bool(true));
+    record.Set("name", Json::Str("Renamed"));
+    PrimeReplayAnswer(&replay, record);
+  }
+  EXPECT_FALSE(replay.EnforceFailedFd(PinnedFd()));
+  EXPECT_TRUE(replay.ValidateFd(PinnedFd()));
+  EXPECT_FALSE(replay.ConceptualizeHiddenObject(PinnedCandidate()));
+  EXPECT_EQ(replay.NameRelationForFd(PinnedFd()), "");
+  EXPECT_EQ(replay.NameHiddenObjectRelation(PinnedCandidate()), "");
+  // All five fell through to the live oracle.
+  EXPECT_EQ(fell_through.InteractionCount(), 5u);
+}
+
+TEST(ProtocolTest, ReplayReadsAnUnknownNeiActionAsIgnore) {
+  DefaultOracle defaults;
+  RecordingOracle fell_through(&defaults);
+  ReplayOracle replay;
+  replay.SetFallback(&fell_through);
+  Json record = Json::MakeObject();
+  record.Set("kind", Json::Str("nei"));
+  record.Set("subject", Json::Str(PinnedJoin().ToString()));
+  record.Set("action", Json::Str("destroy"));
+  PrimeReplayAnswer(&replay, record);
+  EXPECT_EQ(replay.DecideNonEmptyIntersection(PinnedJoin(), JoinCounts{})
+                .action,
+            NeiAction::kIgnore);
+  EXPECT_EQ(fell_through.InteractionCount(), 0u);
+}
+
 // -- Joins ----------------------------------------------------------------
 
 TEST(ProtocolTest, JoinRoundTrip) {
@@ -183,8 +458,9 @@ TEST_F(ServerRobustnessTest, MalformedJsonYieldsParseError) {
 }
 
 TEST_F(ServerRobustnessTest, OversizedMessageYieldsInvalidArgument) {
-  Server small(ServerOptions{
-      .limits = ProtocolLimits{.max_line_bytes = 128}});
+  ServerOptions options;
+  options.limits.max_line_bytes = 128;
+  Server small(options);
   std::string huge =
       R"({"id":1,"cmd":"load_csv","csv":")" + std::string(4096, 'x') + "\"}";
   auto response = Json::Parse(small.HandleLine(huge));
