@@ -43,10 +43,11 @@
 //
 // Replaying these records in order (service/session_manager.h,
 // RecoverAll) reconstructs the session byte-for-byte: the catalog reloads
-// from snapshots and the answers go back into the answer log, and then
-// either the last run's result image brings the session back to `done`, or
-// the run re-executes, replaying the answer log to the deterministic
-// pipeline the way every rerun does.
+// from snapshots and the answers go back into the answer log, each under
+// the policy of the `run` record before it, and then either the last run's
+// result image brings the session back to `done`, or the run re-executes,
+// replaying its policy's answers to the deterministic pipeline the way
+// every rerun does.
 //
 // Logging is best-effort by design: a persistence failure (disk full)
 // must not take down a live elicitation session, so errors are sticky and

@@ -112,9 +112,9 @@ Json JoinToJson(const EquiJoin& join);
 // since the record may come back from disk: unknown kinds are skipped so
 // an old daemon can replay a journal a newer one wrote, and an unknown NEI
 // action replays as ignore. Session::ExecuteRun primes each run's
-// ReplayOracle from the session's answer log, so a rerun (after a
-// mutation, or after a crash) only re-asks questions the expert never
-// answered.
+// ReplayOracle from the session's answer log entries of the run's policy,
+// so a rerun (after a mutation, or after a crash) only re-asks questions
+// that policy never answered.
 void PrimeReplayAnswer(ReplayOracle* oracle, const Json& record);
 
 }  // namespace dbre::service

@@ -22,8 +22,9 @@ constexpr size_t kMaxEvents = 256;
 // *inside* the replay layer: answers replayed from the log never re-record.
 class RecordingOracle : public ExpertOracle {
  public:
-  RecordingOracle(ExpertOracle* wrapped, Session* session)
-      : wrapped_(wrapped), session_(session) {}
+  RecordingOracle(ExpertOracle* wrapped, Session* session,
+                  const std::string& policy)
+      : wrapped_(wrapped), session_(session), policy_(policy) {}
 
   NeiDecision DecideNonEmptyIntersection(const EquiJoin& join,
                                          const JoinCounts& counts) override {
@@ -64,7 +65,7 @@ class RecordingOracle : public ExpertOracle {
  private:
   void Record(PendingQuestion::Kind kind, const std::string& subject,
               const OracleAnswer& answer) {
-    session_->RecordAnswer(AnswerRecord(kind, subject, answer));
+    session_->RecordAnswer(policy_, AnswerRecord(kind, subject, answer));
   }
   bool RecordYes(PendingQuestion::Kind kind, const std::string& subject,
                  bool yes) {
@@ -83,6 +84,7 @@ class RecordingOracle : public ExpertOracle {
 
   ExpertOracle* const wrapped_;  // not owned
   Session* const session_;       // not owned
+  const std::string policy_;     // the run's RunOptions::oracle
 };
 
 Json StringList(const std::vector<std::string>& values) {
@@ -362,10 +364,10 @@ uint64_t Session::event_seq() const {
   return event_seq_;
 }
 
-void Session::RecordAnswer(const Json& record) {
+void Session::RecordAnswer(const std::string& policy, const Json& record) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    answers_.push_back(record);
+    answers_.push_back({policy, record});
   }
   // Outside the lock: the journal write fsyncs.
   if (persist_) persist_->LogAnswer(record);
@@ -518,15 +520,20 @@ void Session::ExecuteRun(const RunOptions& options) {
 
   // Oracle chain: ReplayOracle(the answer log) → RecordingOracle → the live
   // policy. Replaying the log means a rerun (after a mutation, or a
-  // recovery re-run) re-asks only what the expert never answered; answers
+  // recovery re-run) re-asks only what its policy never answered; answers
   // replayed from it never reach the recording layer, so only decisions
-  // made *now* (client answers, timeouts) are logged and journaled.
-  RecordingOracle recording(oracle, this);
+  // made *now* (client answers, timeouts) are logged and journaled. Another
+  // policy's answers stay out: a run under a new policy decides afresh.
+  RecordingOracle recording(oracle, this, options.oracle);
   ReplayOracle replay;
   replay.SetFallback(&recording);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Json& record : answers_) PrimeReplayAnswer(&replay, record);
+    for (const LoggedAnswer& answer : answers_) {
+      if (answer.policy == options.oracle) {
+        PrimeReplayAnswer(&replay, answer.record);
+      }
+    }
   }
 
   // A finished run is rendered once, here, and its report dropped: the

@@ -156,21 +156,24 @@ class Session {
   uint64_t event_seq() const;
 
   // Appends an expert answer, in its answer record form
-  // (service/protocol.h, AnswerRecord), to the session's answer log, then
-  // journals and syncs it outside the session lock. Every run replays the
-  // log ahead of its live oracle. During a run the recording oracle calls
-  // this with each freshly resolved answer, and the pipeline gets the
-  // decision only once it returns. Recovery calls it with the journaled
-  // answers while persistence still replays, so nothing is journaled twice;
-  // after DisarmPersistence answers still join the log but are not
-  // journaled.
-  void RecordAnswer(const Json& record);
+  // (service/protocol.h, AnswerRecord), to the session's answer log under
+  // `policy`, the oracle policy (RunOptions::oracle) of the run that
+  // resolved it, then journals and syncs the record outside the session
+  // lock. Every run replays the log entries of its own policy ahead of its
+  // live oracle. During a run the recording oracle calls this with each
+  // freshly resolved answer, and the pipeline gets the decision only once
+  // it returns. Recovery calls it with the journaled answers, each under
+  // the policy of the last `run` record before it, while persistence still
+  // replays, so nothing is journaled twice; after DisarmPersistence answers
+  // still join the log but are not journaled.
+  void RecordAnswer(const std::string& policy, const Json& record);
 
   // State transition kIdle/kDone/kFailed → kRunning with validation; the
   // manager then schedules ExecuteRun on a worker. Re-running a finished
   // session is the incremental path: the catalog (possibly mutated since)
-  // is re-engineered with the session's answer log replaying ahead of the
-  // live oracle, so only new questions reach the expert.
+  // is re-engineered with the answers the session logged under the run's
+  // policy replaying ahead of the live oracle, so only new questions reach
+  // the expert.
   Status BeginRun(const RunOptions& options);
 
   // Runs the pipeline synchronously (worker thread). Terminal state kDone
@@ -304,9 +307,14 @@ class Session {
   std::function<void()> listener_;
 
   // The session's answer log: every answer its runs resolved, oldest
-  // first (RecordAnswer). Each run replays it FIFO per subject, so only
-  // genuinely new questions reach the expert.
-  std::vector<Json> answers_;
+  // first, each beside the policy of the run that resolved it
+  // (RecordAnswer). Each run replays its own policy's answers FIFO per
+  // subject, so only genuinely new questions reach its oracle.
+  struct LoggedAnswer {
+    std::string policy;
+    Json record;
+  };
+  std::vector<LoggedAnswer> answers_;
   std::deque<Json> events_;
   uint64_t event_seq_ = 0;
 };

@@ -195,21 +195,34 @@ SessionManager::PagedSourceFor(uint64_t fingerprint) {
     return FailedPreconditionError(
         "paged extensions are off (no buffer pool configured)");
   }
-  std::lock_guard<std::mutex> lock(paged_mutex_);
-  auto it = paged_sources_.find(fingerprint);
-  if (it != paged_sources_.end()) {
-    if (std::shared_ptr<pagestore::PagedSnapshot> live = it->second.lock()) {
+  std::promise<PagedOpen> outcome;
+  {
+    std::unique_lock<std::mutex> lock(paged_mutex_);
+    PagedEntry& entry = paged_sources_[fingerprint];
+    if (std::shared_ptr<pagestore::PagedSnapshot> live = entry.source.lock()) {
       return live;
     }
-    paged_sources_.erase(it);
+    if (entry.opening.valid()) {
+      std::shared_future<PagedOpen> opening = entry.opening;
+      lock.unlock();
+      return opening.get();
+    }
+    entry.opening = outcome.get_future().share();
   }
-  Result<std::shared_ptr<pagestore::PagedSnapshot>> opened =
-      pagestore::OpenSnapshotPaged(store_->SnapshotPath(fingerprint),
-                                   buffer_pool_);
-  DBRE_RETURN_IF_ERROR(
-      store_->VetSnapshot(fingerprint, opened.status(),
-                          opened.ok() ? (*opened)->fingerprint() : 0));
-  paged_sources_[fingerprint] = *opened;
+  // The verifying scan runs unlocked: opens of other snapshots overlap it,
+  // and callers for this one wait on `outcome` instead of scanning again.
+  PagedOpen opened = pagestore::OpenSnapshotPaged(
+      store_->SnapshotPath(fingerprint), buffer_pool_);
+  Status vetted = store_->VetSnapshot(
+      fingerprint, opened.status(), opened.ok() ? (*opened)->fingerprint() : 0);
+  if (!vetted.ok()) opened = vetted;
+  {
+    std::lock_guard<std::mutex> lock(paged_mutex_);
+    PagedEntry& entry = paged_sources_[fingerprint];
+    entry.opening = {};
+    if (opened.ok()) entry.source = *opened;
+  }
+  outcome.set_value(opened);
   return opened;
 }
 
@@ -349,8 +362,9 @@ void SessionManager::SweepDeparted(std::shared_ptr<Session> departed) {
   departed.reset();
   registry_.Sweep();
   std::lock_guard<std::mutex> paged_lock(paged_mutex_);
-  std::erase_if(paged_sources_,
-                [](const auto& entry) { return entry.second.expired(); });
+  std::erase_if(paged_sources_, [](const auto& entry) {
+    return entry.second.source.expired() && !entry.second.opening.valid();
+  });
 }
 
 void SessionManager::Shutdown() {
@@ -393,56 +407,82 @@ Result<store::JournalReplay> SessionManager::ClaimJournal(
   return replay;
 }
 
+SessionManager::JournalRecovery SessionManager::RecoverJournal(
+    const std::string& id) {
+  JournalRecovery outcome;
+  if (!options_.worker_id.empty()) {
+    // A session stamped by a different worker is (presumably) live in
+    // that process — adopting it here would run the same journal twice.
+    // Unowned sessions (pre-sharding data, or a released handoff) are
+    // fair game.
+    Result<store::OwnerStamp> owner = store_->SessionOwner(id);
+    if (owner.ok() && !owner->worker.empty() &&
+        owner->worker != options_.worker_id) {
+      return outcome;
+    }
+  }
+  uint64_t epoch = 0;
+  size_t quarantined = 0;
+  Result<store::JournalReplay> replay =
+      ClaimJournal(id, &epoch, &quarantined);
+  if (!replay.ok()) {
+    outcome.status = replay.status();
+    return outcome;
+  }
+  outcome.records_dropped = replay->dropped;
+  outcome.segments_quarantined = quarantined;
+  if (HasCloseRecord(*replay)) {
+    outcome.closed = true;
+    outcome.status = store_->RemoveSession(id);
+    return outcome;
+  }
+  if (!HasMeaningfulRecords(*replay)) {
+    // A journal that never got a single valid record holds nothing to
+    // resume; clear it so the id becomes usable again.
+    store_->RemoveSession(id);
+    return outcome;
+  }
+  Result<Replayed> replayed = RecoverFromReplay(id, *replay, epoch);
+  if (replayed.ok()) {
+    outcome.replayed = std::move(replayed).value();
+  } else {
+    outcome.status = replayed.status();
+  }
+  return outcome;
+}
+
 SessionManager::RecoveryReport SessionManager::RecoverAll() {
   RecoveryReport report;
   if (store_ == nullptr) return report;
-  for (const std::string& id : store_->ListSessionIds()) {
-    if (!options_.worker_id.empty()) {
-      // A session stamped by a different worker is (presumably) live in
-      // that process — adopting it here would run the same journal twice.
-      // Unowned sessions (pre-sharding data, or a released handoff) are
-      // fair game.
-      Result<store::OwnerStamp> owner = store_->SessionOwner(id);
-      if (owner.ok() && !owner->worker.empty() &&
-          owner->worker != options_.worker_id) {
-        continue;
-      }
+  // Sessions share no journal, so each recovers as its own task; only a
+  // snapshot several of them name is opened once (PagedSourceFor). Each
+  // task fills its own slot, and the slots are admitted and counted in id
+  // order, as a sequential pass would.
+  const std::vector<std::string> ids = store_->ListSessionIds();
+  std::vector<JournalRecovery> slots(ids.size());
+  ParallelFor(ids.size(), 0,
+              [&](size_t i) { slots[i] = RecoverJournal(ids[i]); });
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const JournalRecovery& slot = slots[i];
+    report.records_dropped += slot.records_dropped;
+    report.segments_quarantined += slot.segments_quarantined;
+    if (slot.closed) ++report.sessions_closed;
+    Status status = slot.status;
+    if (status.ok() && slot.replayed.session != nullptr) {
+      status = Admit(slot.replayed);
     }
-    uint64_t epoch = 0;
-    size_t quarantined = 0;
-    Result<store::JournalReplay> replay =
-        ClaimJournal(id, &epoch, &quarantined);
-    if (!replay.ok()) {
-      report.errors.push_back(id + ": " + replay.status().ToString());
+    if (!status.ok()) {
+      report.errors.push_back(ids[i] + ": " + status.ToString());
       continue;
     }
-    report.records_dropped += replay->dropped;
-    report.segments_quarantined += quarantined;
-    if (HasCloseRecord(*replay)) {
-      ++report.sessions_closed;
-      Status removed = store_->RemoveSession(id);
-      if (!removed.ok()) {
-        report.errors.push_back(id + ": " + removed.ToString());
-      }
-      continue;
-    }
-    if (!HasMeaningfulRecords(*replay)) {
-      // A journal that never got a single valid record holds nothing to
-      // resume; clear it so the id becomes usable again.
-      store_->RemoveSession(id);
-      continue;
-    }
-    RunRecovery run = RunRecovery::kNone;
-    Result<std::shared_ptr<Session>> recovered =
-        RecoverFromReplay(id, *replay, epoch, &run);
-    if (!recovered.ok()) {
-      report.errors.push_back(id + ": " + recovered.status().ToString());
-      continue;
-    }
+    if (slot.replayed.session == nullptr) continue;
     ++report.sessions_recovered;
-    if (run == RunRecovery::kRestored) ++report.runs_restored;
-    if (run == RunRecovery::kResumed) ++report.runs_resumed;
+    if (slot.replayed.run == RunRecovery::kRestored) ++report.runs_restored;
+    if (slot.replayed.run == RunRecovery::kResumed) ++report.runs_resumed;
   }
+  // A session refused above goes with its slot; free what only it held.
+  slots.clear();
+  SweepDeparted(nullptr);
   return report;
 }
 
@@ -470,8 +510,10 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverSession(
     return FailedPreconditionError("session '" + id +
                                    "' has no resumable journal");
   }
-  RunRecovery run = RunRecovery::kNone;
-  return RecoverFromReplay(id, replay, epoch, &run);
+  DBRE_ASSIGN_OR_RETURN(Replayed replayed,
+                        RecoverFromReplay(id, replay, epoch));
+  DBRE_RETURN_IF_ERROR(Admit(replayed));
+  return replayed.session;
 }
 
 Result<store::JournalStats> SessionManager::DetachSession(
@@ -574,19 +616,24 @@ std::vector<std::string> SessionManager::FenceLostSessions() {
   return fenced_ids;
 }
 
-Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
-    const std::string& id, const store::JournalReplay& replay, uint64_t epoch,
-    RunRecovery* run) {
+Status SessionManager::AdmissibleLocked(const std::string& id) const {
+  if (sessions_.size() >= options_.max_sessions) {
+    return FailedPreconditionError(
+        "session limit reached (" + std::to_string(options_.max_sessions) +
+        " live sessions)");
+  }
+  if (sessions_.count(id) > 0) {
+    return AlreadyExistsError("session '" + id + "' is live");
+  }
+  return Status::Ok();
+}
+
+Result<SessionManager::Replayed> SessionManager::RecoverFromReplay(
+    const std::string& id, const store::JournalReplay& replay,
+    uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sessions_.size() >= options_.max_sessions) {
-      return FailedPreconditionError(
-          "session limit reached (" + std::to_string(options_.max_sessions) +
-          " live sessions)");
-    }
-    if (sessions_.count(id) > 0) {
-      return AlreadyExistsError("session '" + id + "' is live");
-    }
+    DBRE_RETURN_IF_ERROR(AdmissibleLocked(id));
   }
   // Opening the journal re-validates the tail and truncates any torn
   // suffix, so the records applied below and the file agree.
@@ -594,9 +641,11 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
                         MakeSession(id, /*replaying=*/true, epoch));
 
   bool has_run = false;
+  std::string policy = "async";  // the oracle of the last `run` record
   uint64_t inputs = 0;  // the input records (IsRunInput) replayed
   const Json* last_done = nullptr;
-  Session::RunOptions run_options;
+  Replayed replayed;
+  Session::RunOptions& run_options = replayed.rerun;
   run_options.resumed = true;
   for (const Json& record : replay.records) {
     std::string type = record.GetString("t");
@@ -623,8 +672,8 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
       }
       DBRE_RETURN_IF_ERROR(session->AddJoins(parsed));
     } else if (type == "mutate") {
-      // Mutations re-apply in journal order, so the catalog the rerun
-      // below re-engineers is exactly the one live clients last saw.
+      // Mutations re-apply in journal order, so the catalog a rerun
+      // re-engineers is exactly the one live clients last saw.
       // Persistence is still in replaying mode, so this does not
       // re-journal the record.
       DBRE_RETURN_IF_ERROR(
@@ -635,50 +684,54 @@ Result<std::shared_ptr<Session>> SessionManager::RecoverFromReplay(
       run_options.close_inds = record.GetBool("close_inds");
       run_options.merge_isa_cycles = record.GetBool("merge_isa_cycles");
       run_options.oracle = record.GetString("oracle", "async");
+      policy = run_options.oracle;
     } else if (type == "answer") {
-      // Back into the answer log, in journal order: the re-run below (or
-      // the next rerun) replays it FIFO per subject, just as the last live
-      // run replayed earlier runs' answers.
+      // Back into the answer log, in journal order, under the policy of
+      // the run that resolved it: a run's answers are synced before it
+      // ends, and the next `run` record is journaled only after that. The
+      // re-run (or the next rerun of that policy) replays it FIFO per
+      // subject, just as the last live run replayed earlier runs' answers.
       Json answer = record;
       std::erase_if(answer.object(),
                     [](const auto& field) { return field.first == "t"; });
-      session->RecordAnswer(answer);
+      session->RecordAnswer(policy, answer);
     }
     // "create", "done" and "failed" rebuild no state, nor do the "phase"
-    // records older journals hold: the result image or the re-run below
-    // gives the terminal state.
+    // records older journals hold: the result image or the re-run gives
+    // the terminal state.
   }
   // A finished run comes back from its image, before the session is
   // visible, when no input was journaled after it. A missing, stale or
-  // undecodable image is only a cache miss: the run re-executes below and
-  // writes a fresh one.
-  bool restored = false;
+  // undecodable image is only a cache miss: the run re-executes on
+  // admission and writes a fresh one.
+  if (has_run) replayed.run = RunRecovery::kResumed;
   if (has_run && last_done != nullptr) {
     Result<FinishedRun> finished =
         LoadFinishedRun(*store_, id, *last_done, inputs);
     if (finished.ok()) {
       session->RestoreFinished(std::move(finished).value());
-      restored = true;
+      replayed.run = RunRecovery::kRestored;
     }
   }
   session->persistence()->set_inputs(inputs);
   session->persistence()->set_replaying(false);
+  replayed.session = std::move(session);
+  return replayed;
+}
 
+Status SessionManager::Admit(const Replayed& replayed) {
+  const std::string& id = replayed.session->id();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!sessions_.emplace(id, session).second) {
-      return AlreadyExistsError("session '" + id + "' is live");
-    }
+    DBRE_RETURN_IF_ERROR(AdmissibleLocked(id));
+    sessions_.emplace(id, replayed.session);
     Metrics().sessions_created->Add(1);
     Metrics().live_sessions->Add(1);
   }
-  if (restored) {
-    *run = RunRecovery::kRestored;
-  } else if (has_run) {
-    DBRE_RETURN_IF_ERROR(SubmitRun(session, run_options));
-    *run = RunRecovery::kResumed;
+  if (replayed.run == RunRecovery::kResumed) {
+    return SubmitRun(replayed.session, replayed.rerun);
   }
-  return session;
+  return Status::Ok();
 }
 
 size_t SessionManager::inflight_runs() const {

@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,7 +118,10 @@ class SessionManager {
   // with the journaled expert answers replaying ahead of the live oracle
   // (docs/STORAGE.md, "Recovery semantics"). A session whose journal is
   // damaged is reported in `errors` and skipped — recovery never takes the
-  // daemon down. No-op without a data dir.
+  // daemon down. Sessions recover concurrently, one task each on
+  // ThreadPool::Shared(); the report, and which sessions fit under
+  // max_sessions, are those of a pass in session-id order. No-op without a
+  // data dir.
   RecoveryReport RecoverAll();
 
   // Recovers one session by id (the `restore` protocol command). kNotFound
@@ -161,8 +165,12 @@ class SessionManager {
   // The paged source for the snapshot with this fingerprint, deduplicated
   // process-wide: sessions loading the same extension share one source
   // (and through it the pool's pages). The open goes through the store's
-  // quarantine rule (Store::VetSnapshot), as a whole-file load does.
-  // kFailedPrecondition when paged mode is off.
+  // quarantine rule (Store::VetSnapshot), as a whole-file load does. Its
+  // verifying scan runs outside the manager's lock, so opens of different
+  // snapshots overlap; a caller that asks for a snapshot another caller is
+  // scanning waits for that scan and shares its outcome, so each file is
+  // scanned, and quarantined, once. kFailedPrecondition when paged mode is
+  // off.
   Result<std::shared_ptr<pagestore::PagedSnapshot>> PagedSourceFor(
       uint64_t fingerprint);
 
@@ -200,17 +208,47 @@ class SessionManager {
   // reference to it to go.
   void SweepDeparted(std::shared_ptr<Session> departed);
 
-  // What recovery did with a session's last run.
+  // What recovery does with a session's last run.
   enum class RunRecovery { kNone, kRestored, kResumed };
+
+  // A session rebuilt from its journal but not yet live (Admit).
+  struct Replayed {
+    std::shared_ptr<Session> session;
+    RunRecovery run = RunRecovery::kNone;
+    Session::RunOptions rerun;  // submitted on admission when kResumed
+  };
 
   // Applies one journal's records to a fresh session. If the journal holds
   // a run record, the session is restored from its result image when the
   // last `done` record closes a run after which no input was journaled and
-  // its image loads (LoadFinishedRun), and otherwise the pipeline is
+  // its image loads (LoadFinishedRun), and otherwise its pipeline is to be
   // re-submitted with the journaled answers.
-  Result<std::shared_ptr<Session>> RecoverFromReplay(
-      const std::string& id, const store::JournalReplay& replay,
-      uint64_t epoch, RunRecovery* run);
+  Result<Replayed> RecoverFromReplay(const std::string& id,
+                                     const store::JournalReplay& replay,
+                                     uint64_t epoch);
+
+  // Makes a replayed session live, subject to max_sessions, and submits
+  // its re-run if it has one. A failed submission leaves it live.
+  Status Admit(const Replayed& replayed);
+
+  // Why no session can go live under `id` now: the session limit is
+  // reached, or `id` is live. OK otherwise. mutex_ held.
+  Status AdmissibleLocked(const std::string& id) const;
+
+  // What recovering one session came to (RecoverJournal); RecoverAll folds
+  // these into its report in session-id order.
+  struct JournalRecovery {
+    Status status;        // the session's failure, if any
+    bool closed = false;  // a tombstoned journal, removed
+    size_t records_dropped = 0;
+    size_t segments_quarantined = 0;
+    Replayed replayed;  // session null: nothing to admit
+  };
+
+  // RecoverAll's step for one session: skips one another worker owns,
+  // claims and reads its journal, removes a tombstoned or empty one, and
+  // replays the rest.
+  JournalRecovery RecoverJournal(const std::string& id);
 
   // Enforces options_.run_deadline_ms against every running session.
   void WatchdogLoop();
@@ -224,12 +262,18 @@ class SessionManager {
   Status store_status_;
   std::shared_ptr<pagestore::BufferPool> buffer_pool_;
 
-  // fingerprint → live paged source. Weak: the sources are owned by the
-  // tables referencing them (via the registry while interned), so a swept
-  // extension's source detaches from the pool on its own.
+  // One entry per fingerprint: the live paged source, weak because the
+  // sources are owned by the tables referencing them (via the registry
+  // while interned), so a swept extension's source detaches from the pool
+  // on its own; and, while a caller scans the file, the outcome every
+  // other caller for it waits on.
+  using PagedOpen = Result<std::shared_ptr<pagestore::PagedSnapshot>>;
+  struct PagedEntry {
+    std::weak_ptr<pagestore::PagedSnapshot> source;
+    std::shared_future<PagedOpen> opening;  // valid while a scan runs
+  };
   std::mutex paged_mutex_;
-  std::map<uint64_t, std::weak_ptr<pagestore::PagedSnapshot>>
-      paged_sources_;
+  std::map<uint64_t, PagedEntry> paged_sources_;
 
   mutable std::mutex mutex_;
   uint64_t next_session_ = 1;

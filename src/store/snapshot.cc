@@ -189,8 +189,10 @@ Result<SnapshotInfo> WriteSnapshot(const Table& table,
 namespace {
 
 // The scan reads through this much buffer; the identity probe, which reads
-// only the header and the schema section, through a small one.
-constexpr size_t kScanBufferBytes = 256 << 10;
+// only the header and the schema section, through a small one. A restart
+// runs one scan per pool thread at once, and 64 KiB reads as fast as a
+// larger buffer while keeping those scans' peak memory small.
+constexpr size_t kScanBufferBytes = 64 << 10;
 constexpr size_t kProbeBufferBytes = 4 << 10;
 
 // Reads a file front to back through one buffer, so a scan reads each byte
