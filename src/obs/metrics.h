@@ -179,7 +179,8 @@ class Registry {
     std::string name;
     std::string help;
     Kind kind = Kind::kCounter;
-    std::vector<Series> series;
+    // A deque: adding a series never moves one a caller still reads.
+    std::deque<Series> series;
   };
 
   Series* GetSeries(const std::string& name, const Labels& labels,
