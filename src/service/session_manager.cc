@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -211,18 +212,31 @@ SessionManager::PagedSourceFor(uint64_t fingerprint) {
   }
   // The verifying scan runs unlocked: opens of other snapshots overlap it,
   // and callers for this one wait on `outcome` instead of scanning again.
+  // `Release` ends the scan on every exit, a throw included: it clears the
+  // latch and fulfils `outcome`, so waiters get this call's outcome (an
+  // error if the scan threw) and a later call scans anew.
+  struct Release {
+    SessionManager& manager;
+    uint64_t fingerprint;
+    std::promise<PagedOpen>& outcome;
+    std::optional<PagedOpen> opened;
+    ~Release() {
+      if (!opened) opened = InternalError("opening a paged snapshot threw");
+      {
+        std::lock_guard<std::mutex> lock(manager.paged_mutex_);
+        PagedEntry& entry = manager.paged_sources_[fingerprint];
+        entry.opening = {};
+        if (opened->ok()) entry.source = **opened;
+      }
+      outcome.set_value(*opened);
+    }
+  } release{*this, fingerprint, outcome, std::nullopt};
   PagedOpen opened = pagestore::OpenSnapshotPaged(
       store_->SnapshotPath(fingerprint), buffer_pool_);
   Status vetted = store_->VetSnapshot(
       fingerprint, opened.status(), opened.ok() ? (*opened)->fingerprint() : 0);
   if (!vetted.ok()) opened = vetted;
-  {
-    std::lock_guard<std::mutex> lock(paged_mutex_);
-    PagedEntry& entry = paged_sources_[fingerprint];
-    entry.opening = {};
-    if (opened.ok()) entry.source = *opened;
-  }
-  outcome.set_value(opened);
+  release.opened = opened;
   return opened;
 }
 

@@ -1,28 +1,33 @@
 #include "sql/ddl.h"
 
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
-#include "sql/token.h"
+#include "sql/reader.h"
 
 namespace dbre::sql {
 namespace {
 
-class DdlParser {
+class DdlParser : public TokenCursor {
  public:
   DdlParser(std::vector<Token> tokens, Database* database)
-      : tokens_(std::move(tokens)), database_(database) {}
+      : TokenCursor(std::move(tokens)), database_(database) {}
 
   Result<DdlStats> Run() {
     DdlStats stats;
+    // Rows go into their table as soon as they are read.
+    auto insert = [&stats](Table& table, ValueVector row) {
+      ++stats.rows_inserted;
+      return table.Insert(std::move(row));
+    };
     while (!Check(TokenType::kEnd)) {
       if (Match(TokenType::kSemicolon)) continue;
       if (CheckKeyword("CREATE")) {
         DBRE_RETURN_IF_ERROR(ParseCreateTable());
         ++stats.tables_created;
       } else if (CheckKeyword("INSERT")) {
-        DBRE_ASSIGN_OR_RETURN(size_t rows, ParseInsert());
-        stats.rows_inserted += rows;
+        DBRE_RETURN_IF_ERROR(ReadInsert(*this, database_, insert).status());
       } else {
         return ErrorHere("expected CREATE TABLE or INSERT");
       }
@@ -31,47 +36,6 @@ class DdlParser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t index = pos_ + ahead;
-    if (index >= tokens_.size()) index = tokens_.size() - 1;
-    return tokens_[index];
-  }
-  bool Check(TokenType type) const { return Peek().type == type; }
-  bool CheckKeyword(std::string_view keyword) const {
-    return Peek().type == TokenType::kKeyword && Peek().text == keyword;
-  }
-  bool Match(TokenType type) {
-    if (!Check(type)) return false;
-    ++pos_;
-    return true;
-  }
-  bool MatchKeyword(std::string_view keyword) {
-    if (!CheckKeyword(keyword)) return false;
-    ++pos_;
-    return true;
-  }
-  Status ErrorHere(std::string_view message) const {
-    return dbre::ParseError(std::string(message) + " at line " +
-                            std::to_string(Peek().line) + " near " +
-                            Peek().ToString());
-  }
-  Status Expect(TokenType type) {
-    if (Match(type)) return Status::Ok();
-    return ErrorHere(std::string("expected ") + TokenTypeName(type));
-  }
-  Status ExpectKeyword(std::string_view keyword) {
-    if (MatchKeyword(keyword)) return Status::Ok();
-    return ErrorHere("expected " + std::string(keyword));
-  }
-  Result<std::string> ExpectIdentifier() {
-    if (!Check(TokenType::kIdentifier)) {
-      return ErrorHere("expected identifier");
-    }
-    std::string text = Peek().text;
-    ++pos_;
-    return text;
-  }
-
   // TYPE [( n [, m] )] → DataType; the optional scale decides NUMBER/
   // DECIMAL between int64 and double.
   Result<DataType> ParseType() {
@@ -82,13 +46,12 @@ class DdlParser {
       if (!Check(TokenType::kInteger)) {
         return ErrorHere("expected precision in type");
       }
-      ++pos_;
+      Advance();
       if (Match(TokenType::kComma)) {
         if (!Check(TokenType::kInteger)) {
           return ErrorHere("expected scale in type");
         }
-        has_scale = Peek().text != "0";
-        ++pos_;
+        has_scale = Advance().text != "0";
       }
       DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
     }
@@ -181,100 +144,7 @@ class DdlParser {
     return database_->CreateRelation(std::move(schema));
   }
 
-  Result<Value> ParseLiteral(DataType type) {
-    const Token& token = Peek();
-    switch (token.type) {
-      case TokenType::kInteger:
-      case TokenType::kDecimal: {
-        DBRE_ASSIGN_OR_RETURN(Value value, Value::Parse(token.text, type));
-        ++pos_;
-        return value;
-      }
-      case TokenType::kString: {
-        Value value = type == DataType::kString
-                          ? Value::Text(token.text)
-                          : Value();
-        if (type != DataType::kString) {
-          DBRE_ASSIGN_OR_RETURN(value, Value::Parse(token.text, type));
-        }
-        ++pos_;
-        return value;
-      }
-      case TokenType::kKeyword:
-        if (token.text == "NULL") {
-          ++pos_;
-          return Value::Null();
-        }
-        break;
-      case TokenType::kIdentifier:
-        // Unquoted TRUE/FALSE for booleans.
-        if (type == DataType::kBool) {
-          DBRE_ASSIGN_OR_RETURN(Value value, Value::Parse(token.text, type));
-          ++pos_;
-          return value;
-        }
-        break;
-      default:
-        break;
-    }
-    return ErrorHere("expected literal");
-  }
-
-  Result<size_t> ParseInsert() {
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("INSERT"));
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("INTO"));
-    DBRE_ASSIGN_OR_RETURN(std::string table_name, ExpectIdentifier());
-    DBRE_ASSIGN_OR_RETURN(Table * table,
-                          database_->GetMutableTable(table_name));
-    const RelationSchema& schema = table->schema();
-
-    // Optional explicit column list.
-    std::vector<size_t> column_indexes;
-    if (Check(TokenType::kLeftParen)) {
-      ++pos_;
-      while (true) {
-        DBRE_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
-        DBRE_ASSIGN_OR_RETURN(size_t index, schema.AttributeIndex(name));
-        column_indexes.push_back(index);
-        if (!Match(TokenType::kComma)) break;
-      }
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
-    } else {
-      for (size_t i = 0; i < schema.arity(); ++i) column_indexes.push_back(i);
-    }
-
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
-    size_t inserted = 0;
-    while (true) {
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
-      ValueVector row(schema.arity());  // defaults to NULLs
-      size_t position = 0;
-      while (true) {
-        if (position >= column_indexes.size()) {
-          return ErrorHere("too many values in INSERT row");
-        }
-        size_t column = column_indexes[position];
-        DBRE_ASSIGN_OR_RETURN(Value value,
-                              ParseLiteral(schema.attributes()[column].type));
-        row[column] = std::move(value);
-        ++position;
-        if (!Match(TokenType::kComma)) break;
-      }
-      if (position != column_indexes.size()) {
-        return ErrorHere("too few values in INSERT row");
-      }
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
-      DBRE_RETURN_IF_ERROR(table->Insert(std::move(row)));
-      ++inserted;
-      if (!Match(TokenType::kComma)) break;
-    }
-    Match(TokenType::kSemicolon);
-    return inserted;
-  }
-
-  std::vector<Token> tokens_;
   Database* database_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
-#include "common/string_util.h"
 #include "sql/compare.h"
-#include "sql/token.h"
+#include "sql/reader.h"
 
 namespace dbre::sql {
 namespace {
@@ -62,17 +62,16 @@ struct Statement {
   enum class Kind { kInsert, kUpdate, kDelete };
   Kind kind = Kind::kInsert;
   Table* table = nullptr;
-  std::string table_name;
   std::vector<ValueVector> insert_rows;  // kInsert
   std::vector<size_t> set_columns;       // kUpdate, sorted by parse order
   ValueVector set_values;                // kUpdate, parallel to set_columns
   std::vector<Conjunct> where;           // kUpdate/kDelete; empty = all rows
 };
 
-class DmlParser {
+class DmlParser : public TokenCursor {
  public:
   DmlParser(std::vector<Token> tokens, Database* database)
-      : tokens_(std::move(tokens)), database_(database) {}
+      : TokenCursor(std::move(tokens)), database_(database) {}
 
   Result<std::vector<Statement>> Run() {
     std::vector<Statement> statements;
@@ -94,88 +93,21 @@ class DmlParser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t index = pos_ + ahead;
-    if (index >= tokens_.size()) index = tokens_.size() - 1;
-    return tokens_[index];
-  }
-  bool Check(TokenType type) const { return Peek().type == type; }
-  bool CheckKeyword(std::string_view keyword) const {
-    return Peek().type == TokenType::kKeyword && Peek().text == keyword;
-  }
-  bool Match(TokenType type) {
-    if (!Check(type)) return false;
-    ++pos_;
-    return true;
-  }
-  bool MatchKeyword(std::string_view keyword) {
-    if (!CheckKeyword(keyword)) return false;
-    ++pos_;
-    return true;
-  }
-  Status ErrorHere(std::string_view message) const {
-    return dbre::ParseError(std::string(message) + " at line " +
-                            std::to_string(Peek().line) + " near " +
-                            Peek().ToString());
-  }
-  Status Expect(TokenType type) {
-    if (Match(type)) return Status::Ok();
-    return ErrorHere(std::string("expected ") + TokenTypeName(type));
-  }
-  Status ExpectKeyword(std::string_view keyword) {
-    if (MatchKeyword(keyword)) return Status::Ok();
-    return ErrorHere("expected " + std::string(keyword));
-  }
-  Result<std::string> ExpectIdentifier() {
-    if (!Check(TokenType::kIdentifier)) {
-      return ErrorHere("expected identifier");
-    }
-    std::string text = Peek().text;
-    ++pos_;
-    return text;
+  // The target of an UPDATE or DELETE.
+  Result<Table*> ReadTable() {
+    DBRE_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
+    return database_->GetMutableTable(name);
   }
 
-  Result<Value> ParseLiteral(DataType type) {
-    const Token& token = Peek();
-    switch (token.type) {
-      case TokenType::kInteger:
-      case TokenType::kDecimal: {
-        DBRE_ASSIGN_OR_RETURN(Value value, Value::Parse(token.text, type));
-        ++pos_;
-        return value;
-      }
-      case TokenType::kString: {
-        Value value = type == DataType::kString ? Value::Text(token.text)
-                                                : Value();
-        if (type != DataType::kString) {
-          DBRE_ASSIGN_OR_RETURN(value, Value::Parse(token.text, type));
-        }
-        ++pos_;
-        return value;
-      }
-      case TokenType::kKeyword:
-        if (token.text == "NULL") {
-          ++pos_;
-          return Value::Null();
-        }
-        break;
-      case TokenType::kIdentifier:
-        // Unquoted TRUE/FALSE for booleans.
-        if (type == DataType::kBool) {
-          DBRE_ASSIGN_OR_RETURN(Value value, Value::Parse(token.text, type));
-          ++pos_;
-          return value;
-        }
-        break;
-      default:
-        break;
+  // NULL into a not-null attribute is a parse error here, so the apply
+  // phase cannot fail mid-script.
+  Status CheckNotNull(const RelationSchema& schema, size_t column,
+                      const Value& value) const {
+    if (!value.is_null() || !schema.not_null_mask()[column]) {
+      return Status::Ok();
     }
-    return ErrorHere("expected literal");
-  }
-
-  Result<Table*> ResolveTable(const std::string& name) {
-    DBRE_ASSIGN_OR_RETURN(Table * table, database_->GetMutableTable(name));
-    return table;
+    return ErrorHere("NULL in not-null attribute " + schema.name() + "." +
+                     schema.attributes()[column].name);
   }
 
   // conjunct [AND conjunct]* over `schema`; resolved to column indexes.
@@ -190,105 +122,41 @@ class DmlParser {
         conjunct.negated = MatchKeyword("NOT");
         DBRE_RETURN_IF_ERROR(ExpectKeyword("NULL"));
       } else {
-        switch (Peek().type) {
-          case TokenType::kEquals:
-            conjunct.op = ComparisonOp::kEq;
-            break;
-          case TokenType::kNotEquals:
-            conjunct.op = ComparisonOp::kNe;
-            break;
-          case TokenType::kLess:
-            conjunct.op = ComparisonOp::kLt;
-            break;
-          case TokenType::kLessEquals:
-            conjunct.op = ComparisonOp::kLe;
-            break;
-          case TokenType::kGreater:
-            conjunct.op = ComparisonOp::kGt;
-            break;
-          case TokenType::kGreaterEquals:
-            conjunct.op = ComparisonOp::kGe;
-            break;
-          default:
-            return ErrorHere("expected comparison operator or IS [NOT] NULL");
+        std::optional<ComparisonOp> op = MatchComparisonOp(*this);
+        if (!op) {
+          return ErrorHere("expected comparison operator or IS [NOT] NULL");
         }
-        ++pos_;
+        conjunct.op = *op;
         DBRE_ASSIGN_OR_RETURN(
             conjunct.literal,
-            ParseLiteral(schema.attributes()[conjunct.column].type));
+            ParseLiteral(*this, schema.attributes()[conjunct.column].type));
       }
       where.push_back(std::move(conjunct));
     } while (MatchKeyword("AND"));
     return where;
   }
 
+  // Rows are checked as they are read and applied after the whole script
+  // has validated.
   Status ParseInsert(Statement* statement) {
     statement->kind = Statement::Kind::kInsert;
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("INSERT"));
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("INTO"));
-    DBRE_ASSIGN_OR_RETURN(statement->table_name, ExpectIdentifier());
-    DBRE_ASSIGN_OR_RETURN(statement->table,
-                          ResolveTable(statement->table_name));
-    const RelationSchema& schema = statement->table->schema();
-    const AttributeSet not_null = schema.NotNullAttributes();
-
-    std::vector<size_t> column_indexes;
-    if (Check(TokenType::kLeftParen)) {
-      ++pos_;
-      while (true) {
-        DBRE_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
-        DBRE_ASSIGN_OR_RETURN(size_t index, schema.AttributeIndex(name));
-        column_indexes.push_back(index);
-        if (!Match(TokenType::kComma)) break;
-      }
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
-    } else {
-      for (size_t i = 0; i < schema.arity(); ++i) column_indexes.push_back(i);
-    }
-
-    DBRE_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
-    while (true) {
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
-      ValueVector row(schema.arity());  // defaults to NULLs
-      size_t position = 0;
-      while (true) {
-        if (position >= column_indexes.size()) {
-          return ErrorHere("too many values in INSERT row");
-        }
-        size_t column = column_indexes[position];
-        DBRE_ASSIGN_OR_RETURN(
-            Value value, ParseLiteral(schema.attributes()[column].type));
-        row[column] = std::move(value);
-        ++position;
-        if (!Match(TokenType::kComma)) break;
-      }
-      if (position != column_indexes.size()) {
-        return ErrorHere("too few values in INSERT row");
-      }
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
-      // Validate now so the apply phase cannot fail mid-script.
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (row[i].is_null() &&
-            not_null.Contains(schema.attributes()[i].name)) {
-          return ErrorHere("NULL in not-null attribute " + schema.name() +
-                           "." + schema.attributes()[i].name);
-        }
-      }
-      statement->insert_rows.push_back(std::move(row));
-      if (!Match(TokenType::kComma)) break;
-    }
-    Match(TokenType::kSemicolon);
+    DBRE_ASSIGN_OR_RETURN(
+        statement->table,
+        ReadInsert(*this, database_, [&](Table& table, ValueVector row) {
+          for (size_t i = 0; i < row.size(); ++i) {
+            DBRE_RETURN_IF_ERROR(CheckNotNull(table.schema(), i, row[i]));
+          }
+          statement->insert_rows.push_back(std::move(row));
+          return Status::Ok();
+        }));
     return Status::Ok();
   }
 
   Status ParseUpdate(Statement* statement) {
     statement->kind = Statement::Kind::kUpdate;
     DBRE_RETURN_IF_ERROR(ExpectKeyword("UPDATE"));
-    DBRE_ASSIGN_OR_RETURN(statement->table_name, ExpectIdentifier());
-    DBRE_ASSIGN_OR_RETURN(statement->table,
-                          ResolveTable(statement->table_name));
+    DBRE_ASSIGN_OR_RETURN(statement->table, ReadTable());
     const RelationSchema& schema = statement->table->schema();
-    const AttributeSet not_null = schema.NotNullAttributes();
     DBRE_RETURN_IF_ERROR(ExpectKeyword("SET"));
     do {
       DBRE_ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
@@ -299,12 +167,9 @@ class DmlParser {
         return ErrorHere("duplicate SET column " + name);
       }
       DBRE_RETURN_IF_ERROR(Expect(TokenType::kEquals));
-      DBRE_ASSIGN_OR_RETURN(Value value,
-                            ParseLiteral(schema.attributes()[column].type));
-      if (value.is_null() && not_null.Contains(schema.attributes()[column].name)) {
-        return ErrorHere("NULL in not-null attribute " + schema.name() + "." +
-                         schema.attributes()[column].name);
-      }
+      DBRE_ASSIGN_OR_RETURN(
+          Value value, ParseLiteral(*this, schema.attributes()[column].type));
+      DBRE_RETURN_IF_ERROR(CheckNotNull(schema, column, value));
       statement->set_columns.push_back(column);
       statement->set_values.push_back(std::move(value));
     } while (Match(TokenType::kComma));
@@ -319,9 +184,7 @@ class DmlParser {
     statement->kind = Statement::Kind::kDelete;
     DBRE_RETURN_IF_ERROR(ExpectKeyword("DELETE"));
     DBRE_RETURN_IF_ERROR(ExpectKeyword("FROM"));
-    DBRE_ASSIGN_OR_RETURN(statement->table_name, ExpectIdentifier());
-    DBRE_ASSIGN_OR_RETURN(statement->table,
-                          ResolveTable(statement->table_name));
+    DBRE_ASSIGN_OR_RETURN(statement->table, ReadTable());
     if (MatchKeyword("WHERE")) {
       DBRE_ASSIGN_OR_RETURN(statement->where,
                             ParseWhere(statement->table->schema()));
@@ -330,9 +193,7 @@ class DmlParser {
     return Status::Ok();
   }
 
-  std::vector<Token> tokens_;
   Database* database_;
-  size_t pos_ = 0;
 };
 
 TableMutation* MutationFor(DmlStats* stats, const std::string& table) {
@@ -363,7 +224,8 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
   DmlStats stats;
   stats.statements = statements.size();
   for (Statement& statement : statements) {
-    TableMutation* mutation = MutationFor(&stats, statement.table_name);
+    TableMutation* mutation =
+        MutationFor(&stats, statement.table->schema().name());
     switch (statement.kind) {
       case Statement::Kind::kInsert:
         for (ValueVector& row : statement.insert_rows) {

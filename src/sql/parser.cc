@@ -1,17 +1,29 @@
 #include "sql/parser.h"
 
+#include <optional>
 #include <utility>
 
-#include "common/string_util.h"
+#include "sql/reader.h"
 
 namespace dbre::sql {
 namespace {
 
-class Parser {
+class Parser : public TokenCursor {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  using TokenCursor::TokenCursor;
 
   Result<std::unique_ptr<SelectStatement>> ParseStatement() {
+    DBRE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
+                          ParseStatementInScript());
+    if (!Check(TokenType::kEnd)) {
+      return ErrorHere("trailing input after statement");
+    }
+    return stmt;
+  }
+
+  // Parses one statement, stopping after its optional ';' without requiring
+  // end of input (for scripts).
+  Result<std::unique_ptr<SelectStatement>> ParseStatementInScript() {
     DBRE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                           ParseSelectCore());
     // Set-operation chaining.
@@ -35,41 +47,8 @@ class Parser {
       tail = tail->set_rhs.get();
     }
     Match(TokenType::kSemicolon);
-    if (!Check(TokenType::kEnd)) {
-      return ErrorHere("trailing input after statement");
-    }
     return stmt;
   }
-
-  // Parses one statement, stopping after its optional ';' without requiring
-  // end of input (for scripts).
-  Result<std::unique_ptr<SelectStatement>> ParseStatementInScript() {
-    DBRE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
-                          ParseSelectCore());
-    SelectStatement* tail = stmt.get();
-    while (true) {
-      SelectStatement::SetOp op = SelectStatement::SetOp::kNone;
-      if (MatchKeyword("INTERSECT")) {
-        op = SelectStatement::SetOp::kIntersect;
-      } else if (MatchKeyword("UNION")) {
-        MatchKeyword("ALL");
-        op = SelectStatement::SetOp::kUnion;
-      } else if (MatchKeyword("MINUS")) {
-        op = SelectStatement::SetOp::kMinus;
-      } else {
-        break;
-      }
-      DBRE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> rhs,
-                            ParseSelectCore());
-      tail->set_op = op;
-      tail->set_rhs = std::move(rhs);
-      tail = tail->set_rhs.get();
-    }
-    Match(TokenType::kSemicolon);
-    return stmt;
-  }
-
-  bool AtEnd() const { return Check(TokenType::kEnd); }
 
   // Skips tokens until just past the next top-level ';' (error recovery).
   void SkipToNextStatement() {
@@ -78,72 +57,24 @@ class Parser {
       if (Check(TokenType::kLeftParen)) ++depth;
       if (Check(TokenType::kRightParen) && depth > 0) --depth;
       bool was_semicolon = Check(TokenType::kSemicolon) && depth == 0;
-      ++pos_;
+      Advance();
       if (was_semicolon) break;
     }
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t index = pos_ + ahead;
-    if (index >= tokens_.size()) index = tokens_.size() - 1;
-    return tokens_[index];
-  }
-
-  bool Check(TokenType type) const { return Peek().type == type; }
-
-  bool CheckKeyword(std::string_view keyword, size_t ahead = 0) const {
-    const Token& token = Peek(ahead);
-    return token.type == TokenType::kKeyword && token.text == keyword;
-  }
-
-  bool Match(TokenType type) {
-    if (!Check(type)) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool MatchKeyword(std::string_view keyword) {
-    if (!CheckKeyword(keyword)) return false;
-    ++pos_;
-    return true;
-  }
-
-  Status ErrorHere(std::string_view message) const {
-    const Token& token = Peek();
-    return dbre::ParseError(std::string(message) + " at line " +
-                            std::to_string(token.line) + " near " +
-                            token.ToString());
-  }
-
-  Status ExpectKeyword(std::string_view keyword) {
-    if (MatchKeyword(keyword)) return Status::Ok();
-    return ErrorHere("expected " + std::string(keyword));
-  }
-
-  Status Expect(TokenType type) {
-    if (Match(type)) return Status::Ok();
-    return ErrorHere(std::string("expected ") + TokenTypeName(type));
-  }
-
   Result<ColumnRef> ParseColumnRef() {
     if (!Check(TokenType::kIdentifier)) {
       return ErrorHere("expected column reference");
     }
     ColumnRef ref;
-    ref.column = Peek().text;
-    ++pos_;
+    ref.column = Advance().text;
     if (Match(TokenType::kDot)) {
       if (!Check(TokenType::kIdentifier) && !Check(TokenType::kStar)) {
         return ErrorHere("expected column after '.'");
       }
       ref.qualifier = std::move(ref.column);
-      if (Match(TokenType::kStar)) {
-        ref.column = "*";
-      } else {
-        ref.column = Peek().text;
-        ++pos_;
-      }
+      ref.column = Match(TokenType::kStar) ? std::string("*") : Advance().text;
     }
     return ref;
   }
@@ -176,70 +107,48 @@ class Parser {
       return ErrorHere("expected table name");
     }
     TableRef ref;
-    ref.table = Peek().text;
-    ++pos_;
+    ref.table = Advance().text;
     if (MatchKeyword("AS")) {
       if (!Check(TokenType::kIdentifier)) {
         return ErrorHere("expected alias after AS");
       }
-      ref.alias = Peek().text;
-      ++pos_;
+      ref.alias = Advance().text;
     } else if (Check(TokenType::kIdentifier)) {
-      ref.alias = Peek().text;
-      ++pos_;
+      ref.alias = Advance().text;
     }
     return ref;
   }
 
   Result<Operand> ParseOperand() {
-    const Token& token = Peek();
-    Operand op;
-    switch (token.type) {
+    Operand op;  // kNull
+    switch (Peek().type) {
       case TokenType::kIdentifier: {
         DBRE_ASSIGN_OR_RETURN(ColumnRef ref, ParseColumnRef());
         return Operand::Column(std::move(ref));
       }
-      case TokenType::kInteger:
-        op.kind = Operand::Kind::kInteger;
-        op.literal = token.text;
-        ++pos_;
-        return op;
-      case TokenType::kDecimal:
-        op.kind = Operand::Kind::kDecimal;
-        op.literal = token.text;
-        ++pos_;
-        return op;
-      case TokenType::kString:
-        op.kind = Operand::Kind::kString;
-        op.literal = token.text;
-        ++pos_;
-        return op;
+      case TokenType::kInteger: op.kind = Operand::Kind::kInteger; break;
+      case TokenType::kDecimal: op.kind = Operand::Kind::kDecimal; break;
+      case TokenType::kString: op.kind = Operand::Kind::kString; break;
       case TokenType::kHostVariable:
         op.kind = Operand::Kind::kHostVariable;
-        op.literal = token.text;
-        ++pos_;
-        return op;
-      case TokenType::kKeyword:
-        if (token.text == "NULL") {
-          op.kind = Operand::Kind::kNull;
-          ++pos_;
-          return op;
-        }
         break;
       default:
-        break;
+        if (MatchKeyword("NULL")) return op;
+        return ErrorHere("expected operand");
     }
-    return ErrorHere("expected operand");
+    op.literal = Advance().text;
+    return op;
   }
 
-  Result<ComparisonOp> ParseComparisonOp() {
-    if (Match(TokenType::kEquals)) return ComparisonOp::kEq;
-    if (Match(TokenType::kNotEquals)) return ComparisonOp::kNe;
-    if (Match(TokenType::kLess)) return ComparisonOp::kLt;
-    if (Match(TokenType::kLessEquals)) return ComparisonOp::kLe;
-    if (Match(TokenType::kGreater)) return ComparisonOp::kGt;
-    if (Match(TokenType::kGreaterEquals)) return ComparisonOp::kGe;
-    return ErrorHere("expected comparison operator");
+  // '(' SELECT ... ')'; `error` when the parenthesis opens no SELECT.
+  Result<std::unique_ptr<SelectStatement>> ParseSubquery(
+      std::string_view error) {
+    DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
+    if (!CheckKeyword("SELECT")) return ErrorHere(error);
+    DBRE_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> subquery,
+                          ParseSelectCore());
+    DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
+    return subquery;
   }
 
   // predicate after an already-parsed first operand.
@@ -253,12 +162,8 @@ class Parser {
       expr->kind = Expression::Kind::kInSubquery;
       expr->negated = negated;
       expr->in_columns.push_back(lhs.column);
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
-      if (!CheckKeyword("SELECT")) {
-        return ErrorHere("only IN (SELECT ...) is supported");
-      }
-      DBRE_ASSIGN_OR_RETURN(expr->subquery, ParseSelectCore());
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
+      DBRE_ASSIGN_OR_RETURN(expr->subquery,
+                            ParseSubquery("only IN (SELECT ...) is supported"));
       return expr;
     }
     if (MatchKeyword("BETWEEN")) {
@@ -288,7 +193,9 @@ class Parser {
       return expr;
     }
     expr->kind = Expression::Kind::kComparison;
-    DBRE_ASSIGN_OR_RETURN(expr->op, ParseComparisonOp());
+    std::optional<ComparisonOp> op = MatchComparisonOp(*this);
+    if (!op) return ErrorHere("expected comparison operator");
+    expr->op = *op;
     expr->lhs = std::move(lhs);
     DBRE_ASSIGN_OR_RETURN(expr->rhs, ParseOperand());
     return expr;
@@ -312,19 +219,15 @@ class Parser {
     if (MatchKeyword("EXISTS")) {
       auto expr = std::make_unique<Expression>();
       expr->kind = Expression::Kind::kExists;
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
-      if (!CheckKeyword("SELECT")) {
-        return ErrorHere("expected SELECT after EXISTS(");
-      }
-      DBRE_ASSIGN_OR_RETURN(expr->subquery, ParseSelectCore());
-      DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
+      DBRE_ASSIGN_OR_RETURN(expr->subquery,
+                            ParseSubquery("expected SELECT after EXISTS("));
       return expr;
     }
     if (Check(TokenType::kLeftParen)) {
       // Either a parenthesized boolean expression or a column tuple for a
       // multi-column IN: (a, b) IN (SELECT ...).
       if (IsColumnTupleAhead()) {
-        ++pos_;  // consume '('
+        Advance();  // '('
         auto expr = std::make_unique<Expression>();
         expr->kind = Expression::Kind::kInSubquery;
         while (true) {
@@ -335,15 +238,11 @@ class Parser {
         DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
         expr->negated = MatchKeyword("NOT");
         DBRE_RETURN_IF_ERROR(ExpectKeyword("IN"));
-        DBRE_RETURN_IF_ERROR(Expect(TokenType::kLeftParen));
-        if (!CheckKeyword("SELECT")) {
-          return ErrorHere("only IN (SELECT ...) is supported");
-        }
-        DBRE_ASSIGN_OR_RETURN(expr->subquery, ParseSelectCore());
-        DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
+        DBRE_ASSIGN_OR_RETURN(expr->subquery,
+                              ParseSubquery("only IN (SELECT ...) is supported"));
         return expr;
       }
-      ++pos_;  // consume '('
+      Advance();  // '('
       DBRE_ASSIGN_OR_RETURN(std::unique_ptr<Expression> inner, ParseExpr());
       DBRE_RETURN_IF_ERROR(Expect(TokenType::kRightParen));
       return inner;
@@ -372,12 +271,8 @@ class Parser {
     }
     if (Peek(ahead).type != TokenType::kRightParen) return false;
     ++ahead;
-    if (Peek(ahead).type == TokenType::kKeyword &&
-        Peek(ahead).text == "NOT") {
-      ++ahead;
-    }
-    return commas > 0 && Peek(ahead).type == TokenType::kKeyword &&
-           Peek(ahead).text == "IN";
+    if (CheckKeyword("NOT", ahead)) ++ahead;
+    return commas > 0 && CheckKeyword("IN", ahead);
   }
 
   Result<std::unique_ptr<Expression>> ParseAnd() {
@@ -424,9 +319,7 @@ class Parser {
         stmt->from.push_back(std::move(ref));
         continue;
       }
-      bool inner = CheckKeyword("INNER");
-      if (inner || CheckKeyword("JOIN")) {
-        if (inner) ++pos_;
+      if (MatchKeyword("INNER") || CheckKeyword("JOIN")) {
         DBRE_RETURN_IF_ERROR(ExpectKeyword("JOIN"));
         DBRE_ASSIGN_OR_RETURN(TableRef ref, ParseTableRef());
         stmt->from.push_back(std::move(ref));
@@ -466,9 +359,6 @@ class Parser {
     }
     return Status::Ok();
   }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 }  // namespace
@@ -484,7 +374,7 @@ Result<std::vector<std::unique_ptr<SelectStatement>>> ParseScript(
   DBRE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   Parser parser(std::move(tokens));
   std::vector<std::unique_ptr<SelectStatement>> statements;
-  while (!parser.AtEnd()) {
+  while (!parser.Check(TokenType::kEnd)) {
     auto result = parser.ParseStatementInScript();
     if (result.ok()) {
       statements.push_back(std::move(result).value());

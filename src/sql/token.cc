@@ -266,4 +266,52 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
   return tokens;
 }
 
+const Token& TokenCursor::Peek(size_t ahead) const {
+  return tokens_[std::min(pos_ + ahead, tokens_.size() - 1)];
+}
+
+bool TokenCursor::CheckKeyword(std::string_view keyword, size_t ahead) const {
+  const Token& token = Peek(ahead);
+  return token.type == TokenType::kKeyword && token.text == keyword;
+}
+
+const Token& TokenCursor::Advance() {
+  const Token& token = Peek();
+  ++pos_;
+  return token;
+}
+
+bool TokenCursor::Match(TokenType type) {
+  if (!Check(type)) return false;
+  Advance();
+  return true;
+}
+
+bool TokenCursor::MatchKeyword(std::string_view keyword) {
+  if (!CheckKeyword(keyword)) return false;
+  Advance();
+  return true;
+}
+
+Status TokenCursor::Expect(TokenType type) {
+  if (Match(type)) return Status::Ok();
+  return ErrorHere(std::string("expected ") + TokenTypeName(type));
+}
+
+Status TokenCursor::ExpectKeyword(std::string_view keyword) {
+  if (MatchKeyword(keyword)) return Status::Ok();
+  return ErrorHere("expected " + std::string(keyword));
+}
+
+Result<std::string> TokenCursor::ExpectIdentifier() {
+  if (!Check(TokenType::kIdentifier)) return ErrorHere("expected identifier");
+  return Advance().text;
+}
+
+Status TokenCursor::ErrorHere(std::string_view message) const {
+  const Token& token = Peek();
+  return ParseError(std::string(message) + " at line " +
+                    std::to_string(token.line) + " near " + token.ToString());
+}
+
 }  // namespace dbre::sql

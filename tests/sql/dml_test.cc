@@ -1,6 +1,7 @@
 // The DML front end (sql/dml.h): grammar, SQL NULL comparison semantics,
-// two-phase parse-validate-then-apply atomicity, and the per-table
-// mutation stats the incremental driver keys on.
+// two-phase parse-validate-then-apply atomicity, the per-table mutation
+// stats the incremental driver keys on, and the INSERT error texts it
+// shares with DDL (sql/ddl.h).
 #include <cmath>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "core/pipeline.h"
 #include "core/report_json.h"
 #include "relational/database.h"
+#include "sql/ddl.h"
 #include "sql/dml.h"
 #include "support/cold_encode.h"
 #include "support/table_rows.h"
@@ -221,6 +223,63 @@ TEST(DmlTest, ValidationErrors) {
   }
   // Nothing applied by any of them.
   EXPECT_EQ(Rows(Get(database, "emp")).size(), 3u);
+}
+
+// DDL and DML read INSERT through one reader, and each front end keeps its
+// own status code and message for every malformed INSERT. The one split is
+// NULL into a not-null attribute: DDL hands the row to the table layer,
+// while DML rejects it as a parse error at the token after the row.
+TEST(DmlTest, InsertErrorTextsOfBothFrontEnds) {
+  struct Case {
+    const char* sql;
+    StatusCode ddl_code;
+    const char* ddl_message;
+    StatusCode dml_code;
+    const char* dml_message;
+  };
+  const Case cases[] = {
+      // Unknown table.
+      {"INSERT INTO ghost VALUES (1);", StatusCode::kNotFound,
+       "no relation ghost", StatusCode::kNotFound, "no relation ghost"},
+      // Unknown column in the column list.
+      {"INSERT INTO emp (id, ghost) VALUES (1, 'x');", StatusCode::kNotFound,
+       "no attribute emp.ghost", StatusCode::kNotFound,
+       "no attribute emp.ghost"},
+      // Too many values, and too few.
+      {"INSERT INTO emp VALUES (1, 'x', 2, 3);", StatusCode::kParseError,
+       "too many values in INSERT row at line 1 near integer(3)",
+       StatusCode::kParseError,
+       "too many values in INSERT row at line 1 near integer(3)"},
+      {"INSERT INTO emp VALUES (1, 'x');", StatusCode::kParseError,
+       "too few values in INSERT row at line 1 near )",
+       StatusCode::kParseError,
+       "too few values in INSERT row at line 1 near )"},
+      // A string literal for an int column.
+      {"INSERT INTO emp VALUES ('text', 'x', 1);", StatusCode::kParseError,
+       "not an int64: 'text'", StatusCode::kParseError,
+       "not an int64: 'text'"},
+      // NULL into the not-null id.
+      {"INSERT INTO emp VALUES (NULL, 'x', 1);", StatusCode::kInvalidArgument,
+       "NULL in not-null attribute emp.id", StatusCode::kParseError,
+       "NULL in not-null attribute emp.id at line 1 near ;"},
+      // No VALUES.
+      {"INSERT INTO emp (id, name, dept) (1, 'x', 2);",
+       StatusCode::kParseError, "expected VALUES at line 1 near (",
+       StatusCode::kParseError, "expected VALUES at line 1 near ("},
+  };
+  for (const Case& c : cases) {
+    Database ddl_database = MakeDatabase();
+    Status ddl = ExecuteDdlScript(c.sql, &ddl_database).status();
+    EXPECT_EQ(ddl.code(), c.ddl_code) << c.sql << ": " << ddl;
+    EXPECT_EQ(ddl.message(), c.ddl_message) << c.sql;
+    EXPECT_EQ(Rows(Get(ddl_database, "emp")).size(), 3u) << c.sql;
+
+    Database dml_database = MakeDatabase();
+    Status dml = ExecuteDmlScript(c.sql, &dml_database).status();
+    EXPECT_EQ(dml.code(), c.dml_code) << c.sql << ": " << dml;
+    EXPECT_EQ(dml.message(), c.dml_message) << c.sql;
+    EXPECT_EQ(Rows(Get(dml_database, "emp")).size(), 3u) << c.sql;
+  }
 }
 
 TEST(DmlTest, IncomparableTypesNeverMatch) {

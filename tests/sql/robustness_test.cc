@@ -1,16 +1,21 @@
 // Robustness sweeps: the front end must never crash and must return
 // Status (not garbage) on arbitrary inputs — legacy program corpora are
 // full of text that only resembles SQL.
+#include <initializer_list>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "relational/database.h"
 #include "sql/ddl.h"
+#include "sql/dml.h"
 #include "sql/extractor.h"
 #include "sql/parser.h"
 #include "sql/scanner.h"
 #include "sql/token.h"
+#include "support/table_rows.h"
 
 namespace dbre::sql {
 namespace {
@@ -101,6 +106,78 @@ TEST_P(RandomTextTest, DdlNeverCrashes) {
     auto result = ExecuteDdlScript(text, &db);  // ok or clean error
     (void)result;
   }
+}
+
+// Scripts of one to four statements, each drawn from a small INSERT /
+// UPDATE / DELETE grammar whose every slot may hold a wrong word, or plain
+// word soup: scripts often run valid for a statement or two and then fail.
+// DML validates a whole script before it applies any of it, so a script
+// that fails must leave every row as it was.
+TEST_P(RandomTextTest, DmlNeverCrashes) {
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&rng](std::initializer_list<const char*> words) {
+    return std::string(words.begin()[rng() % words.size()]);
+  };
+  auto table = [&] { return pick({"T", "T", "U", "U", "ghost"}); };
+  auto column = [&] { return pick({"a", "b", "b", "ghost"}); };
+  auto literal = [&] {
+    return pick({"1", "2", "2.5", "'x'", "NULL", "TRUE", "a", ")"});
+  };
+  auto where = [&] {
+    return rng() % 3 == 0 ? std::string()
+                          : " WHERE " + column() + " " +
+                                pick({"=", "<>", "<", ">=", "IS"}) + " " +
+                                pick({"1", "2.5", "'x'", "NULL", "NOT NULL"});
+  };
+  Database base;
+  ASSERT_TRUE(ExecuteDdlScript("CREATE TABLE T (a INT NOT NULL, b TEXT);"
+                               "CREATE TABLE U (a INT, b DOUBLE);"
+                               "INSERT INTO T VALUES (1, 'x'), (2, NULL);"
+                               "INSERT INTO U VALUES (1, 2.5), (NULL, NULL);",
+                               &base)
+                  .ok());
+  const std::vector<ValueVector> rows_t = Rows(**base.GetTable("T"));
+  const std::vector<ValueVector> rows_u = Rows(**base.GetTable("U"));
+  size_t failed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string text;
+    for (size_t n = 1 + rng() % 4; n > 0; --n) {
+      switch (rng() % 5) {
+        case 0:
+          text += "INSERT INTO " + table() + " VALUES (" + literal() + ", " +
+                  literal() + ")";
+          if (rng() % 2 == 0) text += ", (" + literal() + ", " + literal() + ")";
+          break;
+        case 1:
+          text += "INSERT INTO " + table() + " (" + column() + ") VALUES (" +
+                  literal() + ")";
+          break;
+        case 2:
+          text += "UPDATE " + table() + " SET " + column() + " = " +
+                  literal() + where();
+          break;
+        case 3:
+          text += "DELETE FROM " + table() + where();
+          break;
+        default:
+          for (size_t k = rng() % 6; k > 0; --k) {
+            text += pick({"INSERT", "INTO", "VALUES", "UPDATE", "SET",
+                          "DELETE", "FROM", "WHERE", "AND", "T", "a", "(",
+                          ")", ",", "=", "<", "1", "'x'", "NULL"}) + " ";
+          }
+      }
+      text += "; ";
+    }
+    Database database = base.Clone();
+    auto result = ExecuteDmlScript(text, &database);  // ok or clean error
+    if (result.ok()) continue;
+    ++failed;
+    EXPECT_FALSE(result.status().message().empty()) << text;
+    EXPECT_EQ(Rows(**database.GetTable("T")), rows_t) << text;
+    EXPECT_EQ(Rows(**database.GetTable("U")), rows_u) << text;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, 300u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTextTest,

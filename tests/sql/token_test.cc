@@ -119,6 +119,27 @@ TEST(TokenizeTest, RejectsUnknownCharacters) {
   EXPECT_FALSE(Tokenize("a @ b").ok());
 }
 
+// The cursor every parser reads through: it stays on kEnd past the end,
+// and its errors name the current token's line and the token.
+TEST(TokenizeTest, CursorStaysOnEndAndNamesTheTokenInErrors) {
+  TokenCursor in(MustTokenize("SELECT a\nFROM"));
+  EXPECT_TRUE(in.CheckKeyword("FROM", 2));
+  EXPECT_TRUE(in.MatchKeyword("SELECT"));
+  EXPECT_FALSE(in.Match(TokenType::kComma));
+  Result<std::string> name = in.ExpectIdentifier();
+  ASSERT_TRUE(name.ok()) << name.status();
+  EXPECT_EQ(*name, "a");
+  Status missing = in.ExpectKeyword("WHERE");
+  EXPECT_EQ(missing.code(), StatusCode::kParseError);
+  EXPECT_EQ(missing.message(), "expected WHERE at line 2 near keyword(FROM)");
+  EXPECT_EQ(in.Advance().text, "FROM");
+  in.Advance();
+  EXPECT_TRUE(in.Check(TokenType::kEnd));
+  EXPECT_EQ(in.Peek(3).type, TokenType::kEnd);
+  EXPECT_EQ(in.Expect(TokenType::kRightParen).message(),
+            "expected ) at line 2 near <end>");
+}
+
 TEST(IsKeywordTest, RecognizesSubset) {
   EXPECT_TRUE(IsKeyword("select"));
   EXPECT_TRUE(IsKeyword("INTERSECT"));
