@@ -536,27 +536,33 @@ TEST(MutationWatchTest, MutationMaterializesPagedExtensions) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  ServerOptions options;
-  options.sessions.data_dir = dir.string();
-  options.sessions.buffer_pool_bytes = 16u << 20;
-  Server server(options);
-  LineClient client(&server);
-  std::string session = SetUpSession(client, "paged");
-  RunToDone(client, session);
+  // The server goes before the data dir: a run's image is still being
+  // written after its `wait` returns, and removing the dir under that
+  // write throws.
+  {
+    ServerOptions options;
+    options.sessions.data_dir = dir.string();
+    options.sessions.buffer_pool_bytes = 16u << 20;
+    Server server(options);
+    LineClient client(&server);
+    std::string session = SetUpSession(client, "paged");
+    RunToDone(client, session);
 
-  Json mutate = Command("mutate", session);
-  mutate.Set("sql", Json::Str("UPDATE proj SET owner = 1 WHERE pid = 101;"));
-  Json result = client.MustCall(std::move(mutate));
-  EXPECT_EQ(result.GetInt("updated"), 1);
-  RunToDone(client, session);
-  const std::string incremental = Report(client, session);
+    Json mutate = Command("mutate", session);
+    mutate.Set("sql",
+               Json::Str("UPDATE proj SET owner = 1 WHERE pid = 101;"));
+    Json result = client.MustCall(std::move(mutate));
+    EXPECT_EQ(result.GetInt("updated"), 1);
+    RunToDone(client, session);
+    const std::string incremental = Report(client, session);
 
-  std::string fresh = SetUpSession(client, "paged-cold");
-  Json fix = Command("mutate", fresh);
-  fix.Set("sql", Json::Str("UPDATE proj SET owner = 1 WHERE pid = 101;"));
-  client.MustCall(std::move(fix));
-  RunToDone(client, fresh);
-  EXPECT_EQ(incremental, Report(client, fresh));
+    std::string fresh = SetUpSession(client, "paged-cold");
+    Json fix = Command("mutate", fresh);
+    fix.Set("sql", Json::Str("UPDATE proj SET owner = 1 WHERE pid = 101;"));
+    client.MustCall(std::move(fix));
+    RunToDone(client, fresh);
+    EXPECT_EQ(incremental, Report(client, fresh));
+  }
   fs::remove_all(dir);
 }
 
